@@ -36,7 +36,6 @@ from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.fsutil import atomic_write_text
 from repro.lint.cli import add_lint_arguments
 from repro.lint.cli import run_from_args as _run_lint_args
-from repro.pipeline.engine import EXECUTOR_KINDS
 from repro.pipeline.replay import ReplayCorpus, ReplayError, replay_config
 from repro.services.catalog import SERVICES
 from repro.services.generator import LOAD_PROFILES
@@ -89,15 +88,6 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         help="worker processes for per-service shards (default 1: sequential)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="auto",
-        help="shard executor: auto picks sequential at --jobs 1, a thread "
-        "pool for replayed corpora (decode and a warm store release the "
-        "GIL) and a process pool otherwise; results are byte-identical "
-        "for every choice",
     )
     _add_impair_argument(parser)
 
@@ -345,7 +335,6 @@ def cmd_audit(args) -> int:
             _config(args, corpus),
             replay=corpus,
             jobs=args.jobs,
-            executor=args.executor,
             cache_dir=args.cache_dir,
             incremental=not args.no_incremental,
             keep_going=not args.strict,
@@ -686,9 +675,7 @@ def cmd_generate(args) -> int:
 
     directory = Path(args.output)
     try:
-        count = generate_corpus_artifacts(
-            _config(args), directory, jobs=args.jobs, executor=args.executor
-        )
+        count = generate_corpus_artifacts(_config(args), directory, jobs=args.jobs)
     except ReplayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -707,7 +694,6 @@ def cmd_report(args) -> int:
             _config(args, corpus),
             replay=corpus,
             jobs=args.jobs,
-            executor=args.executor,
             cache_dir=args.cache_dir,
             incremental=not args.no_incremental,
             keep_going=not args.strict,
@@ -1017,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write a stage-attribution profile of this run (wall time per "
-        "pipeline stage, executor overheads, IPC payload sizes) as JSON",
+        "pipeline stage and executor overheads) as JSON",
     )
     audit.add_argument(
         "--spans-out",

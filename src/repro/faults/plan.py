@@ -28,8 +28,9 @@ corpus.  Tests and CI that want real on-disk damage use
 :func:`corrupt_artifact` on a copy.
 
 Worker-kill faults only fire inside process-pool workers
-(``multiprocessing.parent_process()`` is set); under the sequential or
-thread executors they are no-ops rather than suicide.
+(``multiprocessing.parent_process()`` is set); in-process — the
+sequential executor and the pool's single-task and crash-recovery
+fallbacks — they are no-ops rather than suicide.
 """
 
 from __future__ import annotations

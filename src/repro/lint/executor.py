@@ -1,9 +1,9 @@
 """X family: executor- and IPC-safety rules.
 
-The sharded engine runs the same shard code under three executors
-(sequential, thread pool, process pool) and promises byte-identical
-results from all three.  These rules flag the patterns that break
-that promise: state shared through module globals or mutable
+The sharded engine runs the same shard code in-process (``--jobs 1``)
+and on a pool of worker processes (``--jobs N``) and promises
+byte-identical results from both.  These rules flag the patterns that
+break that promise: state shared through module globals or mutable
 defaults, caches that pin instances, payloads that pickle poorly,
 and packed-IPC transports that silently drop fields.
 """
@@ -84,7 +84,7 @@ class GlobalMutationRule(AstRule):
     severity = "error"
     summary = (
         "function rebinds a module global — invisible to process-pool "
-        "workers, racy under the thread pool"
+        "workers, so parallel runs diverge from sequential ones"
     )
     hint = (
         "thread state through arguments/return values, or move it onto "

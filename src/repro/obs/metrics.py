@@ -5,8 +5,8 @@ be declared in :mod:`repro.obs.catalog` first.  The hot path — one
 ``child.inc(n)`` per event — is a plain attribute add with no lock:
 under CPython's GIL a float ``+=`` on an instrumented counter never
 tears, and the pipeline's executors either share one registry in one
-process (sequential/thread) or keep fully separate registries that
-merge deterministically afterwards (process pool, via
+process (sequential) or keep fully separate registries that merge
+deterministically afterwards (process pool, via
 :func:`merge_snapshots`).  Locks guard only child *creation*, which
 happens once per label set.
 

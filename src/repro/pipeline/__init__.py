@@ -4,8 +4,8 @@
   HAR/PCAP artifacts, and parse them back (steps 1–2);
 * :mod:`repro.pipeline.dataset` — the Table 1 dataset summary;
 * :mod:`repro.pipeline.engine` — the parallel sharded engine running
-  steps 1–3 per service (sequential, thread-pool or process-pool
-  executors);
+  steps 1–3 per service (in-process at one job, on worker processes
+  at ``--jobs N``);
 * :mod:`repro.pipeline.profile` — stage-level wall-time attribution
   for the audit hot path (``--profile-out`` / ``repro bench``);
 * :mod:`repro.pipeline.replay` — artifact replay: scan a captured
@@ -24,7 +24,6 @@ from repro.pipeline.corpus import (
 from repro.pipeline.dataset import DatasetSummary, ServiceDatasetStats
 from repro.pipeline.diffaudit import DiffAudit, DiffAuditResult
 from repro.pipeline.engine import (
-    EXECUTOR_KINDS,
     AuditEngine,
     EngineOutput,
     PackedShardResult,
@@ -32,7 +31,6 @@ from repro.pipeline.engine import (
     SequentialExecutor,
     ShardResult,
     ShardTask,
-    ThreadPoolShardExecutor,
     executor_for,
     generate_corpus_artifacts,
     pack_shard_result,
@@ -68,13 +66,11 @@ __all__ = [
     "DiffAuditResult",
     "AuditEngine",
     "EngineOutput",
-    "EXECUTOR_KINDS",
     "PackedShardResult",
     "ProcessPoolShardExecutor",
     "SequentialExecutor",
     "ShardResult",
     "ShardTask",
-    "ThreadPoolShardExecutor",
     "executor_for",
     "generate_corpus_artifacts",
     "pack_shard_result",

@@ -91,10 +91,6 @@ class DiffAudit:
     # resolution) don't pay, or race, a second scan.
     replay: ReplayCorpus | Path | str | None = None
     jobs: int = 1  # shard workers; 1 = sequential in-process
-    # Executor kind for the shard stage: "auto" (sequential at jobs=1,
-    # thread pool for replayed corpora, process pool otherwise) or an
-    # explicit "sequential" / "thread" / "process" (``--executor``).
-    executor: str = "auto"
     # Persistent classification store directory (``--cache-dir``):
     # verdicts persist across runs and across worker processes, so a
     # warm re-audit performs zero inner-classifier calls.  Results are
@@ -139,7 +135,6 @@ class DiffAudit:
             artifacts_dir=self.artifacts_dir,
             replay=self.replay,
             jobs=self.jobs,
-            executor=self.executor,
             cache_dir=self.cache_dir,
             incremental=self.incremental,
             keep_going=self.keep_going,

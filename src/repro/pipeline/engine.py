@@ -52,7 +52,7 @@ import pickle
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -402,7 +402,7 @@ def _apply_worker_faults(task: ShardTask) -> None:
 
     Kill faults (including a persistent ``poison_unit``) only fire in
     process-pool workers — ``multiprocessing.parent_process()`` is set
-    there — never in the parent, a thread, or the in-process fallback:
+    there — never in the parent or the in-process fallback:
     injected crashes must exercise recovery, not commit suicide.
     Stalls fire everywhere; a sleep never changes output bytes.
     """
@@ -940,7 +940,6 @@ def generate_corpus_artifacts(
     config: CorpusConfig,
     artifacts_dir: Path | None,
     jobs: int = 1,
-    executor: str = "auto",
 ) -> int:
     """Write every trace artifact plus a manifest; returns the trace count.
 
@@ -954,7 +953,7 @@ def generate_corpus_artifacts(
     """
     from repro.services.generator import estimate_unit_costs
 
-    pool = executor_for(jobs, executor)
+    pool = executor_for(jobs)
     existing = read_manifest(artifacts_dir) if artifacts_dir is not None else None
     if existing is not None:
         # Fail fast on mismatched corpus knobs before writing anything.
@@ -1196,7 +1195,8 @@ class ProcessPoolShardExecutor:
         """One pool generation over ``slots``; returns crashed indexes.
 
         Completed futures write straight into ``results``; a broken
-        pool only costs the shards that had not finished.
+        pool only costs the shards that had not finished — including
+        any it broke before they could even be submitted.
         """
         workers = min(self.jobs, len(slots))
         # Heaviest first; ties keep canonical order for determinism.
@@ -1205,12 +1205,21 @@ class ProcessPoolShardExecutor:
             key=lambda i: (-getattr(slots[i], "estimated_cost", 0.0), i),
         )
         failed: list[int] = []
+        futures: dict = {}
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_ignores_interrupt
         ) as pool:
-            futures = {pool.submit(work, slots[i]): i for i in submission}
-            _QUEUE_DEPTH.set(len(futures))
             try:
+                for position, index in enumerate(submission):
+                    try:
+                        futures[pool.submit(work, slots[index])] = index
+                    except BrokenProcessPool:
+                        # A worker died while later shards were still
+                        # being submitted: this slot and every one not
+                        # yet submitted go to the next generation.
+                        failed.extend(submission[position:])
+                        break
+                _QUEUE_DEPTH.set(len(futures))
                 for future in as_completed(futures):
                     index = futures[future]
                     _QUEUE_DEPTH.dec()
@@ -1240,90 +1249,18 @@ class ProcessPoolShardExecutor:
         return sorted(failed)
 
 
-@dataclass
-class ThreadPoolShardExecutor:
-    """Shard execution across threads in one process.
+def executor_for(jobs: int) -> ShardExecutor:
+    """Pick the executor for ``--jobs N``.
 
-    Same LPT submission and canonical-order collection as the process
-    pool, but with zero serialization: tasks and results cross the
-    executor boundary by reference.  That wins whenever the shard's
-    wall time is dominated by work that releases the GIL — artifact
-    file reads and SQLite store round-trips (a warm replayed audit is
-    mostly both) — or when pickling the results would cost more than
-    the contention does.  CPU-bound cold classification still wants
-    the process pool.
-
-    Thread safety is by construction, not by locking: the engine gives
-    every task its own persistent-classifier copy (SQLite connections
-    are per-instance and per-thread), each shard wraps its own
-    in-memory cache, and the shared inner classifier is read-only
-    after warm-up.
-    """
-
-    kind = "thread"
-    jobs: int = 2
-
-    def map_shards(
-        self,
-        tasks: list,
-        work: Callable = process_shard,
-        on_result: Callable | None = None,
-    ) -> list:
-        if len(tasks) <= 1:
-            return SequentialExecutor().map_shards(tasks, work, on_result)
-        workers = min(self.jobs, len(tasks))
-        submission = sorted(
-            range(len(tasks)),
-            key=lambda i: (-getattr(tasks[i], "estimated_cost", 0.0), i),
-        )
-        results: list = [None] * len(tasks)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(work, tasks[i]): i for i in submission}
-            _QUEUE_DEPTH.set(len(futures))
-            try:
-                for future in as_completed(futures):
-                    index = futures[future]
-                    _QUEUE_DEPTH.dec()
-                    results[index] = future.result()
-                    _invoke_on_result(on_result, index, results[index])
-            # repro-lint: disable=X-BARE-EXCEPT — teardown guard: cancel queued shards on ANY interrupt, then re-raise unchanged
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        _QUEUE_DEPTH.set(0)
-        return results
-
-
-EXECUTOR_KINDS = ("auto", "sequential", "thread", "process")
-
-
-def executor_for(
-    jobs: int, kind: str = "auto", *, replay: bool = False
-) -> ShardExecutor:
-    """Pick the executor for ``--jobs N`` / ``--executor KIND``.
-
-    ``auto`` keeps the historical behaviour at ``jobs == 1``
-    (sequential, shared in-process cache) and picks between the pools
-    at ``jobs > 1``: threads for replayed corpora — decode is file
-    I/O and a warm store is SQLite, both GIL-releasing, and results
-    need no pickling — processes for generated corpora, whose cold
-    path is CPU-bound Python.  An explicit kind is always honoured,
-    including pools at ``jobs == 1``.
+    One job runs in-process (sequential, one shared classification
+    cache); more run on the process pool, for generated and replayed
+    corpora alike.  Shard work is CPU-bound Python (decode,
+    extraction, classification), so only worker processes scale it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {kind!r} (choose from {', '.join(EXECUTOR_KINDS)})"
-        )
-    if kind == "auto":
-        if jobs == 1:
-            return SequentialExecutor()
-        kind = "thread" if replay else "process"
-    if kind == "sequential":
+    if jobs == 1:
         return SequentialExecutor()
-    if kind == "thread":
-        return ThreadPoolShardExecutor(jobs=jobs)
     return ProcessPoolShardExecutor(jobs=jobs)
 
 
@@ -1398,7 +1335,7 @@ class EngineOutput:
     degraded: list[DegradedUnit] = field(default_factory=list)
     # Wall-time attribution for this run (the ``engine`` section of a
     # profile document — see repro.pipeline.profile): orchestration
-    # stages, IPC payload sizes, and the aggregated per-shard stages.
+    # stages and the aggregated per-shard stages.
     profile: dict = field(default_factory=dict)
 
 
@@ -1417,11 +1354,9 @@ class AuditEngine:
     # ReplayCorpus (no rescan — pass this when the caller scanned the
     # directory itself, e.g. for config resolution).
     replay: "ReplayCorpus | Path | str | None" = None
+    # Shard workers: 1 runs in-process, N > 1 runs N worker processes
+    # (see executor_for).
     jobs: int = 1
-    # Which executor runs the shards: "auto" (sequential at jobs=1,
-    # thread pool for replayed corpora, process pool otherwise) or an
-    # explicit "sequential" / "thread" / "process".
-    executor: str = "auto"
     # Directory holding the persistent classification store
     # (``--cache-dir``): classifications persist across runs and are
     # shared by all shard workers, so a warm re-audit never calls the
@@ -1806,23 +1741,6 @@ class AuditEngine:
             _invoke_on_result(flush, index, resolved[index])
         return resolved
 
-    def _thread_task_classifiers(self, tasks: list[ShardTask]) -> None:
-        """Give every thread-pool task an isolated classifier stack.
-
-        SQLite connections must not cross threads, and the persistent
-        layer's counters are unsynchronized — so each task gets its
-        own :class:`PersistentClassifier` over the same store file
-        (connections open lazily in the worker thread).  The inner
-        classifier is shared: it is read-only after warm-up, and
-        classification is per-key pure.
-        """
-        for task in tasks:
-            classifier = task.classifier
-            if isinstance(classifier, PersistentClassifier):
-                task.classifier = PersistentClassifier(
-                    classifier.inner, classifier.path, faults=classifier.faults
-                )
-
     def _stage_timer(self) -> StageTimer:
         """A stage timer, mirroring its spans into ``span_sink``."""
         if self.span_sink is None:
@@ -1839,9 +1757,7 @@ class AuditEngine:
         unit_store: ClassificationStore | None = None
         epoch = ""
         with timer.stage("shard_setup"):
-            executor = executor_for(
-                self.jobs, self.executor, replay=self.replay is not None
-            )
+            executor = executor_for(self.jobs)
             _RUNS.labels(executor.kind).inc()
             tasks = self.shard_tasks()
             scope = self._unit_result_scope()
@@ -1873,11 +1789,8 @@ class AuditEngine:
                     # are already single-unit — nothing to split;
                     # their costs were stamped for LPT submission.)
                     tasks = split_shard_tasks(tasks, executor.jobs)
-                if isinstance(executor, ProcessPoolShardExecutor):
-                    self._slim_tasks(tasks)
-                    packed = True
-                else:
-                    self._thread_task_classifiers(tasks)
+                self._slim_tasks(tasks)
+                packed = True
         work = _process_shard_packed if packed else process_shard
         _TASKS_DISPATCHED.inc(len(tasks))
         # Crash-safe resume: in incremental mode every fresh unit
@@ -1896,11 +1809,10 @@ class AuditEngine:
             raw_results = self._resolve_crashes(
                 raw_results, work, crash_degraded, flush
             )
-        task_bytes = result_bytes = 0
         if packed:
-            # Results crossed the pool pickled; unpack (and measure
-            # the IPC payloads) parent-side.  ``None`` slots are
-            # fully-quarantined shards — nothing to unpack or merge.
+            # Results crossed the pool pickled; unpack them
+            # parent-side.  ``None`` slots are fully-quarantined
+            # shards — nothing to unpack or merge.
             with timer.stage("unpack"):
                 results = [
                     raw.unpack() if raw is not None else None
@@ -1916,10 +1828,6 @@ class AuditEngine:
                     shipped = getattr(raw, "metrics", None) if raw else None
                     if shipped is not None:
                         REGISTRY.absorb(shipped)
-            task_bytes = sum(len(pickle.dumps(task)) for task in tasks)
-            result_bytes = sum(
-                len(pickle.dumps(raw)) for raw in raw_results if raw is not None
-            )
         else:
             results = raw_results
         unit_hits = unit_misses = 0
@@ -1966,8 +1874,6 @@ class AuditEngine:
             "execute_s": round(timer.get("execute"), 6),
             "unpack_s": round(timer.get("unpack"), 6),
             "merge_s": round(timer.get("merge"), 6),
-            "task_bytes": task_bytes,
-            "result_bytes": result_bytes,
             "stages": stages.as_dict(),
             # Schema-optional run-summary extras (like unit_hits below):
             # what the CLI's --verbose one-liner reports without

@@ -42,8 +42,6 @@ ENGINE_PROFILE_FIELDS = (
     "execute_s",
     "unpack_s",
     "merge_s",
-    "task_bytes",
-    "result_bytes",
     "stages",
 )
 

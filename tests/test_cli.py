@@ -223,6 +223,22 @@ class TestReplayCommands:
         # ...with a warning that only the reported config changes.
         assert "overrides the corpus manifest" in captured.err
 
+    def test_parallel_replay_runs_worker_processes(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        base = ["--services", "youtube", "tiktok", "--scale", "0.003", "--seed", "7"]
+        main(["generate", *base, "--output", str(corpus)])
+        reports = {}
+        for jobs in ("1", "2"):
+            report = tmp_path / f"report-{jobs}.json"
+            profile = tmp_path / f"profile-{jobs}.json"
+            argv = ["audit", "--from-artifacts", str(corpus), "--jobs", jobs]
+            argv += ["--json", "--output", str(report), "--profile-out", str(profile)]
+            assert main(argv) == 0
+            reports[jobs] = report.read_bytes()
+        engine = json.loads((tmp_path / "profile-2.json").read_text())["engine"]
+        assert engine["executor"] == "process"
+        assert reports["2"] == reports["1"]
+
     def test_replay_missing_directory_errors(self, tmp_path, capsys):
         assert main(["audit", "--from-artifacts", str(tmp_path / "nope")]) == 2
         assert "does not exist" in capsys.readouterr().err

@@ -17,8 +17,8 @@ from repro.pipeline.engine import (
     AuditEngine,
     ProcessPoolShardExecutor,
     SequentialExecutor,
-    ThreadPoolShardExecutor,
     executor_for,
+    generate_corpus_artifacts,
     pack_shard_result,
     partition_costs,
     process_shard,
@@ -337,8 +337,6 @@ class TestSizeBalancedScheduling:
         assert sum(split_costs) == pytest.approx(sum(whole_costs))
 
     def test_split_replay_units_cover_the_corpus(self, tmp_path):
-        from repro.pipeline.engine import generate_corpus_artifacts
-
         config = CorpusConfig(scale=0.002, seed=3, services=("youtube",))
         generate_corpus_artifacts(config, tmp_path)
         engine = AuditEngine(config=config, replay=tmp_path, jobs=3)
@@ -366,55 +364,22 @@ class TestSizeBalancedScheduling:
 
 
 class TestExecutorSelection:
-    """``--executor KIND`` / ``--jobs N`` → the executor that runs."""
+    """``--jobs N`` alone picks the executor that runs, for generated
+    and replayed corpora alike."""
 
-    def test_explicit_kinds_honoured(self):
-        assert isinstance(executor_for(2, "sequential"), SequentialExecutor)
-        thread = executor_for(2, "thread")
-        assert isinstance(thread, ThreadPoolShardExecutor)
-        assert thread.jobs == 2
-        process = executor_for(2, "process")
-        assert isinstance(process, ProcessPoolShardExecutor)
-        assert process.jobs == 2
+    CONFIG = CorpusConfig(scale=0.002, seed=3, services=("tiktok", "youtube"))
 
-    def test_explicit_pools_allowed_at_one_job(self):
-        assert isinstance(executor_for(1, "thread"), ThreadPoolShardExecutor)
-        assert isinstance(executor_for(1, "process"), ProcessPoolShardExecutor)
-
-    def test_auto_is_sequential_at_one_job(self):
-        assert isinstance(executor_for(1, "auto"), SequentialExecutor)
-        assert isinstance(
-            executor_for(1, "auto", replay=True), SequentialExecutor
-        )
-
-    def test_auto_prefers_threads_for_replay(self):
-        # Replayed corpora are decode I/O + store round-trips — both
-        # GIL-releasing — so auto picks the zero-serialization pool.
-        assert isinstance(
-            executor_for(4, "auto", replay=True), ThreadPoolShardExecutor
-        )
-        assert isinstance(
-            executor_for(4, "auto", replay=False), ProcessPoolShardExecutor
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            executor_for(2, "fibers")
-
-    def test_thread_pool_returns_results_in_input_order(self):
-        items = [_CostedItem(i, cost) for i, cost in enumerate([2, 8, 4, 6, 1])]
-        results = ThreadPoolShardExecutor(jobs=3).map_shards(
-            items, work=_echo_index
-        )
-        assert results == [0, 1, 2, 3, 4]
+    @pytest.mark.parametrize(("jobs", "kind"), [(1, "sequential"), (2, "process")])
+    def test_jobs_alone_pick_the_executor(self, jobs, kind, tmp_path):
+        generate_corpus_artifacts(self.CONFIG, tmp_path)
+        for replay in (None, tmp_path):
+            output = AuditEngine(config=self.CONFIG, replay=replay, jobs=jobs).run()
+            assert output.profile["executor"] == kind
 
     def test_pools_short_circuit_single_tasks(self):
         items = [_CostedItem(0, 1.0)]
-        for pool in (
-            ThreadPoolShardExecutor(jobs=4),
-            ProcessPoolShardExecutor(jobs=4),
-        ):
-            assert pool.map_shards(items, work=_echo_index) == [0]
+        pool = ProcessPoolShardExecutor(jobs=4)
+        assert pool.map_shards(items, work=_echo_index) == [0]
 
 
 class TestSlimTasks:
@@ -537,15 +502,17 @@ def _result_bytes(result) -> bytes:
 
 
 class TestExecutorParityMatrix:
-    """Every executor × jobs × store-temperature cell must produce the
+    """Every jobs × store-temperature cell must produce the
     byte-identical audit result.
 
-    This is the contract that makes the executor a pure performance
-    knob: sequential at one job is the reference, and no pool, worker
-    count, or persistent-store state may perturb a single output byte.
+    This is the contract that makes ``--jobs`` a pure performance
+    knob: sequential at one job is the reference, and no worker count
+    or persistent-store state may perturb a single output byte.  Each
+    cell also pins the executor its job count selects.
     """
 
     CONFIG = CorpusConfig(scale=0.002, seed=7, services=("tiktok", "youtube"))
+    CELLS = [("sequential", 1), ("process", 2), ("process", 4)]
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -557,21 +524,19 @@ class TestExecutorParityMatrix:
         DiffAudit(self.CONFIG, jobs=1, cache_dir=cache_dir).run()
         return cache_dir
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["sequential", "thread", "process"])
-    def test_cold_store_parity(self, executor, jobs, baseline, tmp_path):
-        audit = DiffAudit(
-            self.CONFIG, jobs=jobs, executor=executor, cache_dir=tmp_path
-        )
-        assert _result_bytes(audit.run()) == baseline
+    def _run(self, jobs, cache_dir):
+        result, profile = DiffAudit(
+            self.CONFIG, jobs=jobs, cache_dir=cache_dir
+        ).run_profiled()
+        return _result_bytes(result), profile["engine"]["executor"]
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize(("executor", "jobs"), CELLS)
+    def test_cold_store_parity(self, executor, jobs, baseline, tmp_path):
+        assert self._run(jobs, tmp_path) == (baseline, executor)
+
+    @pytest.mark.parametrize(("executor", "jobs"), CELLS)
     def test_warm_store_parity(self, executor, jobs, baseline, warm_cache_dir):
-        audit = DiffAudit(
-            self.CONFIG, jobs=jobs, executor=executor, cache_dir=warm_cache_dir
-        )
-        assert _result_bytes(audit.run()) == baseline
+        assert self._run(jobs, warm_cache_dir) == (baseline, executor)
 
 
 class TestStoreRoundTripBudget:

@@ -29,6 +29,8 @@ import sqlite3
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,7 @@ from repro.cli import main as repro_main
 from repro.datatypes.store import StoreError, store_path_for
 from repro.faults import FAULT_PROFILES, FaultPlan, FlakyStore, corrupt_artifact
 from repro.fsutil import atomic_write_text
+from repro.pipeline import engine
 from repro.pipeline.engine import (
     ProcessPoolShardExecutor,
     ShardCrash,
@@ -238,6 +241,24 @@ class TestProcessPoolRecovery:
         # The flush hook never sees crash sentinels — only real results.
         assert sorted(delivered) == [1, 2]
 
+    def test_pool_break_during_submission_is_retried(self, monkeypatch):
+        # A worker can die while later shards are still being
+        # submitted; submit() then raises BrokenProcessPool itself.
+        submits = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a worker died during submission")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        executor = ProcessPoolShardExecutor(jobs=2, retry_backoff_s=0.01)
+        tasks = [("ok", value) for value in range(5)]
+        results = executor.map_shards(tasks, work=_exit_by_spec)
+        assert results == [0, 2, 4, 6, 8]
+
 
 # ----------------------------------------------------------------------
 # Poison-unit bisection (engine level)
@@ -258,7 +279,6 @@ class TestPoisonBisection:
             CONFIG,
             replay=pristine_corpus,
             jobs=2,
-            executor="process",
             keep_going=True,
             faults=FaultPlan("none", poison_unit=poison),
         ).run()
@@ -275,7 +295,6 @@ class TestPoisonBisection:
                 CONFIG,
                 replay=pristine_corpus,
                 jobs=2,
-                executor="process",
                 faults=FaultPlan("none", poison_unit=poison),
             ).run()
 
@@ -367,7 +386,6 @@ class TestNonDataFaultParity:
             CONFIG,
             replay=pristine_corpus,
             jobs=2,
-            executor="process",
             cache_dir=cache,
             faults=FaultPlan(profile, seed=seed),
         ).run()
@@ -384,7 +402,6 @@ class TestNonDataFaultParity:
             CONFIG,
             replay=pristine_corpus,
             jobs=2,
-            executor="process",
             keep_going=True,
             faults=FaultPlan("chaos", seed=1),
         ).run()
@@ -419,7 +436,7 @@ class TestSigkillResume:
             sys.executable, "-m", "repro", "audit",
             "--from-artifacts", str(pristine_corpus),
             "--cache-dir", str(cache),
-            "--jobs", "2", "--executor", "process",
+            "--jobs", "2",
             "--inject-faults", "slow-worker",  # widen the kill window
             "--json", "--output", os.devnull,
         ]

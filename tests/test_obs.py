@@ -419,14 +419,7 @@ class TestTelemetryParity:
         )
         return out.read_text()
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--jobs", "2", "--executor", "thread"],
-            ["--jobs", "2", "--executor", "process"],
-        ],
-        ids=["thread", "process"],
-    )
+    @pytest.mark.parametrize("extra", [["--jobs", "2"]], ids=["process"])
     def test_audit_output_identical_with_telemetry_surfaced(
         self, tmp_path, plain_json, extra
     ):
@@ -464,7 +457,7 @@ class TestTelemetryParity:
 
     def test_process_workers_ship_metric_deltas_home(self, tmp_path):
         REGISTRY.reset()
-        result = DiffAudit(CONFIG, jobs=2, executor="process").run()
+        result = DiffAudit(CONFIG, jobs=2).run()
         assert len(result.flows) > 0  # the audit actually ran
         snapshot = REGISTRY.snapshot()["metrics"]
         decode_packets = snapshot["repro_pcap_packets_total"]["samples"][0]

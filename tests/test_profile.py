@@ -25,8 +25,6 @@ def _engine_section(**overrides) -> dict:
         "execute_s": 1.5,
         "unpack_s": 0.0,
         "merge_s": 0.02,
-        "task_bytes": 0,
-        "result_bytes": 0,
         "stages": {"generate": 1.2, "classify": 0.2},
     }
     section.update(overrides)
