@@ -92,18 +92,15 @@ def _decrypt_packets(
     """The shared streaming core: frames → flows → TLS → HTTP."""
     result = MobileDecryption()
     reassembler = TcpReassembler()
-    frame_counts: dict[str, int] = {}
     packet_count = 0
     for timestamp, data in packets:
         packet_count += 1
         try:
-            segment = parse_tcp_segment(data, timestamp=timestamp)
+            segment = parse_tcp_segment(data, timestamp)
         # repro-lint: disable=X-SWALLOW — non-TCP noise is skipped by design, as Wireshark display filters would
         except PacketError:
             continue
         reassembler.add_segment(segment)
-        key = "%s:%d->%s:%d" % segment.flow_key
-        frame_counts[key] = frame_counts.get(key, 0) + 1
     result.packet_count = packet_count
 
     flows = reassembler.flows()
@@ -134,7 +131,7 @@ def _decrypt_packets(
                 OpaqueContact(
                     host=hello.sni,
                     first_timestamp=flow.first_timestamp,
-                    frame_count=frame_counts.get(flow_id, 0),
+                    frame_count=flow.frames,
                 )
             )
             continue

@@ -49,6 +49,9 @@ STORE_FILENAME = "classifications.sqlite"
 # when expanding IN (...) lookups.
 _CHUNK = 400
 
+# How long one connection waits for another's lock before failing.
+_BUSY_TIMEOUT_S = 30.0
+
 # Result-schema version for per-unit replay results (the incremental
 # re-audit cache).  Bump whenever the *meaning* of a stored payload
 # changes — a new PackedShardResult layout, a pipeline change that
@@ -152,6 +155,27 @@ class StoreStats:
     @property
     def total_unit_results(self) -> int:
         return sum(self.unit_results.values())
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Put the connection's database in WAL mode, waiting out rivals.
+
+    The switch upgrades a read lock to the write lock, and SQLite
+    refuses that upgrade at once with "database is locked" (skipping
+    the busy timeout) while another connection holds the write lock —
+    as it does when several processes open one fresh store together.
+    So retry for as long as the busy timeout would have waited; once
+    one opener has switched the file, the pragma is a no-op.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+        time.sleep(0.01)
 
 
 def store_path_for(cache_dir: Path | str) -> Path:
@@ -294,9 +318,9 @@ class ClassificationStore:
                 return operation()
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             conn.commit()

@@ -36,6 +36,8 @@ _IPV6_FIXED = struct.Struct("!IHBB")
 _IPV6_GROUP = struct.Struct("!H")
 _TCP_HEADER = struct.Struct("!HHIIBBHHH")
 _TCP_PREFIX = struct.Struct("!HHII")
+# Ports, seq, ack, data-offset byte, flags: what a segment needs.
+_TCP_SEGMENT = struct.Struct("!HHIIBB")
 _TCP_PSEUDO = struct.Struct("!BBH")
 
 
@@ -325,10 +327,6 @@ class TcpSegment(NamedTuple):
     flags: int
     payload: "bytes | memoryview"
 
-    @property
-    def flow_key(self) -> tuple[str, int, str, int]:
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
-
 
 def parse_tcp_segment(data, timestamp: float = 0.0) -> TcpSegment:
     """Parse Ethernet/IPv4/TCP layers straight into a :class:`TcpSegment`.
@@ -336,51 +334,59 @@ def parse_tcp_segment(data, timestamp: float = 0.0) -> TcpSegment:
     Validates exactly what :meth:`Frame.from_bytes` validates — same
     ethertype/version/IHL/checksum/offset rejections, same
     :class:`PacketError` — but skips building the three header
-    dataclasses, which dominates per-packet decode cost.  The slower
-    :class:`Frame` API remains the general-purpose decoder (and the
-    eager/streaming parity tests hold the two to identical results).
+    dataclasses, which dominates per-packet decode cost: each header is
+    one ``unpack_from`` at its offset into ``data``, and the payload is
+    the only slice taken.  The slower :class:`Frame` API remains the
+    general-purpose decoder (and the eager/streaming parity tests hold
+    the two to identical results).
     """
     # Ethernet II
-    if len(data) < 14:
+    size = len(data)
+    if size < 14:
         raise PacketError("truncated Ethernet header")
-    (ethertype,) = _U16.unpack(data[12:14])
+    (ethertype,) = _U16.unpack_from(data, 12)
     if ethertype != ETHERTYPE_IPV4:
         raise PacketError(f"unsupported ethertype 0x{ethertype:04x}")
-    ip = data[14:]
-    # IPv4
-    if len(ip) < Ipv4Header.SIZE:
+    # IPv4, at offset 14
+    if size - 14 < Ipv4Header.SIZE:
         raise PacketError("truncated IPv4 header")
-    version_ihl = ip[0]
+    (
+        version_ihl, _tos, total_length, _ident, flags_fragment,
+        _ttl, protocol, _checksum, src, dst,
+    ) = _IPV4_HEADER.unpack_from(data, 14)
     if version_ihl >> 4 != 4:
         raise PacketError("not an IPv4 packet")
     ihl = (version_ihl & 0x0F) * 4
-    if ihl < Ipv4Header.SIZE or len(ip) < ihl:
+    if ihl < Ipv4Header.SIZE or size - 14 < ihl:
         raise PacketError("bad IPv4 IHL")
-    if ip[9] != IPPROTO_TCP:
-        raise PacketError(f"unsupported IP protocol {ip[9]}")
-    (flags_fragment,) = _U16.unpack(ip[6:8])
+    if protocol != IPPROTO_TCP:
+        raise PacketError(f"unsupported IP protocol {protocol}")
     if flags_fragment & 0x3FFF:  # MF set or nonzero fragment offset
         raise PacketError("fragmented IPv4 packet")
-    if internet_checksum(ip[:ihl]) != 0:
+    if internet_checksum(data[14 : 14 + ihl]) != 0:
         raise PacketError("IPv4 header checksum mismatch")
-    (total_length,) = _U16.unpack(ip[2:4])
-    tcp = ip[ihl:total_length]
-    # TCP
-    if len(tcp) < TcpHeader.SIZE:
+    # TCP, from the end of the IPv4 header to the end of the IP datagram
+    # (or of the captured bytes, if shorter)
+    start = 14 + ihl
+    end = min(14 + total_length, size)
+    if end - start < TcpHeader.SIZE:
         raise PacketError("truncated TCP header")
-    src_port, dst_port, seq, _ack = _TCP_PREFIX.unpack(tcp[:12])
-    offset = (tcp[12] >> 4) * 4
-    if offset < TcpHeader.SIZE or len(tcp) < offset:
+    src_port, dst_port, seq, _ack, offset_byte, flags = _TCP_SEGMENT.unpack_from(
+        data, start
+    )
+    offset = (offset_byte >> 4) * 4
+    if offset < TcpHeader.SIZE or end - start < offset:
         raise PacketError("bad TCP data offset")
+    # Positional: keyword construction of a NamedTuple costs twice as much.
     return TcpSegment(
-        timestamp=timestamp,
-        src_ip=ipv4_to_str(bytes(ip[12:16])),
-        src_port=src_port,
-        dst_ip=ipv4_to_str(bytes(ip[16:20])),
-        dst_port=dst_port,
-        seq=seq,
-        flags=tcp[13],
-        payload=tcp[offset:],
+        timestamp,
+        ipv4_to_str(src),
+        src_port,
+        ipv4_to_str(dst),
+        dst_port,
+        seq,
+        flags,
+        data[start + offset : end],
     )
 
 

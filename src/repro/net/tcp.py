@@ -9,6 +9,7 @@ paper's per-service TCP-flow accounting (Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.net.packet import (
     EthernetHeader,
@@ -35,9 +36,12 @@ _CONSUMED_LIMIT = 65536
 _CONSUMED_WINDOW = 1 << 24  # 16 MiB of stream
 
 
-@dataclass(frozen=True)
-class FlowId:
-    """Canonical (client → server) flow identity."""
+class FlowId(NamedTuple):
+    """Canonical (client → server) flow identity.
+
+    A tuple, so a segment's plain ``(src_ip, src_port, dst_ip,
+    dst_port)`` finds its flow's entry in a ``FlowId``-keyed dict.
+    """
 
     client_ip: str
     client_port: int
@@ -128,7 +132,7 @@ def segment_request(
     return frames
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowState:
     isn: int | None = None
     # seq -> payload for segments *beyond* the compacted prefix; values
@@ -151,6 +155,7 @@ class _FlowState:
     consumed: set[int] = field(default_factory=set)
     last_activity: float = 0.0  # stream time of the last segment
     lru_tick: int = 0  # arrival counter, for LRU eviction
+    frames: int = 0  # segments fed, duplicates and empty ones included
 
 
 @dataclass
@@ -161,6 +166,7 @@ class ReassembledFlow:
     data: bytes
     first_timestamp: float
     complete: bool
+    frames: int  # segments fed for this flow, duplicates included
 
 
 class TcpReassembler:
@@ -216,13 +222,11 @@ class TcpReassembler:
     def add_segment(self, segment: TcpSegment) -> None:
         """Feed one decode-path :class:`TcpSegment` (the hot path)."""
         _SEGMENTS.inc()
-        flow = FlowId(
-            client_ip=segment.src_ip,
-            client_port=segment.src_port,
-            server_ip=segment.dst_ip,
-            server_port=segment.dst_port,
-        )
-        state = self._flows.setdefault(flow, _FlowState())
+        key = (segment.src_ip, segment.src_port, segment.dst_ip, segment.dst_port)
+        state = self._flows.get(key)  # type: ignore[call-overload]
+        if state is None:
+            state = self._flows[FlowId._make(key)] = _FlowState()
+        state.frames += 1
         if not state.segments and state.isn is None and not state.assembled:
             state.first_timestamp = segment.timestamp
         state.first_timestamp = min(
@@ -303,6 +307,7 @@ class TcpReassembler:
                     data=bytes(state.assembled) + tail,
                     first_timestamp=state.first_timestamp,
                     complete=complete and state.finished,
+                    frames=state.frames,
                 )
             )
         return out
@@ -374,6 +379,7 @@ class TcpReassembler:
             data=bytes(state.assembled) + tail,
             first_timestamp=state.first_timestamp,
             complete=complete and state.finished,
+            frames=state.frames,
         )
 
     def buffered_bytes(self) -> int:

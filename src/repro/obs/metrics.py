@@ -2,13 +2,15 @@
 
 Counters, gauges, and histograms with label sets; every metric must
 be declared in :mod:`repro.obs.catalog` first.  The hot path — one
-``child.inc(n)`` per event — is a plain attribute add with no lock:
-under CPython's GIL a float ``+=`` on an instrumented counter never
-tears, and the pipeline's executors either share one registry in one
-process (sequential) or keep fully separate registries that merge
-deterministically afterwards (process pool, via
-:func:`merge_snapshots`).  Locks guard only child *creation*, which
-happens once per label set.
+``inc(n)`` per event — takes no lock: on a child it is one method
+call doing a float ``+=`` on an attribute, and a label-less family
+forwards it straight to its single child (a labelled family first
+looks the child up by label values).  Under CPython's GIL that
+``+=`` never tears, and the pipeline's executors either share one
+registry in one process (sequential) or keep fully separate
+registries that merge deterministically afterwards (process pool,
+via :func:`merge_snapshots`).  Locks guard only child *creation*,
+which happens once per label set.
 
 Telemetry is observational by construction: nothing in this module
 feeds back into audit results, and every rendering (Prometheus text,
@@ -122,8 +124,12 @@ class Family:
         # A label-less family gets its single child eagerly so the
         # metric renders (at zero) from the moment it is registered —
         # scrapes and goldens never depend on whether an event fired.
+        # The conveniences below go straight to it; a labelled family
+        # has none and routes them through ``labels()``, which rejects
+        # the missing label values.
+        self._single: object | None = None
         if not spec.labels:
-            self._children[()] = self._make()
+            self._single = self._children[()] = self._make()
 
     def _make(self) -> object:
         if self.spec.type == "counter":
@@ -149,19 +155,19 @@ class Family:
     # Label-less conveniences: module-level call sites hold the family
     # and call .inc()/.set()/.observe() directly.
     def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)  # type: ignore[union-attr]
+        (self._single or self.labels()).inc(amount)  # type: ignore[union-attr]
 
     def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)  # type: ignore[union-attr]
+        (self._single or self.labels()).dec(amount)  # type: ignore[union-attr]
 
     def set(self, value: float) -> None:
-        self.labels().set(value)  # type: ignore[union-attr]
+        (self._single or self.labels()).set(value)  # type: ignore[union-attr]
 
     def max(self, value: float) -> None:
-        self.labels().max(value)  # type: ignore[union-attr]
+        (self._single or self.labels()).max(value)  # type: ignore[union-attr]
 
     def observe(self, value: float) -> None:
-        self.labels().observe(value)  # type: ignore[union-attr]
+        (self._single or self.labels()).observe(value)  # type: ignore[union-attr]
 
     def items(self) -> list[tuple[tuple[str, ...], object]]:
         """Children in sorted label order — the deterministic view."""

@@ -51,6 +51,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -1064,8 +1065,13 @@ class SequentialExecutor:
         return results
 
 
-def _worker_ignores_interrupt() -> None:
-    """Pool-worker initializer: leave Ctrl-C to the parent.
+#: How often a pool worker checks that the process that started it is
+#: still its parent.
+_PARENT_POLL_S = 0.25
+
+
+def _init_worker(parent: int) -> None:
+    """Pool-worker initializer: leave Ctrl-C to the parent, die with it.
 
     A terminal SIGINT goes to the whole process group; without this,
     every worker dies printing its own ``KeyboardInterrupt`` traceback
@@ -1076,9 +1082,23 @@ def _worker_ignores_interrupt() -> None:
     CLI's SIGTERM→KeyboardInterrupt handler, which turns the parent's
     own teardown ``terminate()`` into per-worker traceback spew right
     under the one real error message.
+
+    A parent killed outright (SIGKILL, OOM) tears nothing down, and an
+    idle worker would wait on the call queue forever: every worker
+    holds the queue's pipe open, so no EOF ever arrives.  A daemon
+    thread ends the worker once it is re-parented.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent,), name="parent-watch", daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 @dataclass
@@ -1207,7 +1227,7 @@ class ProcessPoolShardExecutor:
         failed: list[int] = []
         futures: dict = {}
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_ignores_interrupt
+            max_workers=workers, initializer=_init_worker, initargs=(os.getpid(),)
         ) as pool:
             try:
                 for position, index in enumerate(submission):

@@ -280,7 +280,9 @@ class IncrementalTraceDecoder:
         self._pipelines: dict[FlowId, _FlowPipeline] = {}
         self._active: dict[FlowId, _FlowRecord] = {}
         self._records: list[_FlowRecord] = []
-        self._frame_counts: dict[str, int] = {}
+        # Segments per flow id over the whole trace, summed at each
+        # eviction: an evicted flow's stragglers count toward it too.
+        self._frame_counts: dict[FlowId, int] = {}
         self._packet_count = 0
         self._pipeline_buffered = 0
         self._stream_time = 0.0
@@ -294,26 +296,20 @@ class IncrementalTraceDecoder:
         """Consume one captured packet (link-layer bytes)."""
         self._packet_count += 1
         try:
-            segment = parse_tcp_segment(data, timestamp=timestamp)
+            segment = parse_tcp_segment(data, timestamp)
         except PacketError:
             return  # non-TCP noise is skipped, as in batch
         if timestamp > self._stream_time:
             self._stream_time = timestamp
-        key = "%s:%d->%s:%d" % segment.flow_key
-        self._frame_counts[key] = self._frame_counts.get(key, 0) + 1
-        flow = FlowId(
-            client_ip=segment.src_ip,
-            client_port=segment.src_port,
-            server_ip=segment.dst_ip,
-            server_port=segment.dst_port,
-        )
-        if flow not in self._active:
-            record = _FlowRecord(flow=flow, key=key)
-            self._active[flow] = record
+        key = (segment.src_ip, segment.src_port, segment.dst_ip, segment.dst_port)
+        record = self._active.get(key)  # type: ignore[call-overload]
+        if record is None:
+            flow = FlowId._make(key)
+            record = self._active[flow] = _FlowRecord(flow=flow, key=str(flow))
             self._records.append(record)
             self._pipelines[flow] = _FlowPipeline(self._keylog)
         self._reassembler.add_segment(segment)
-        self._drain(flow)
+        self._drain(record.flow)
         self._enforce_policy()
 
     def _drain(self, flow: FlowId) -> None:
@@ -362,6 +358,7 @@ class IncrementalTraceDecoder:
         record = self._active.pop(flow)
         record.first_timestamp = reassembled.first_timestamp
         record.outcome = pipeline.finalize()
+        self._frame_counts[flow] = self._frame_counts.get(flow, 0) + reassembled.frames
 
     # -- finishing ------------------------------------------------------
 
@@ -394,7 +391,7 @@ class IncrementalTraceDecoder:
                     OpaqueContact(
                         host=outcome.sni,
                         first_timestamp=record.first_timestamp,
-                        frame_count=self._frame_counts.get(record.key, 0),
+                        frame_count=self._frame_counts[record.flow],
                     )
                 )
             else:  # undecryptable

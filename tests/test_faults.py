@@ -14,7 +14,8 @@ Structure mirrors the feature's contract:
 * byte parity — non-data fault plans (kill/stall/store) never change
   output bytes (Hypothesis, across seeds);
 * crash-safe resume — an audit SIGKILLed mid-run resumes from the
-  per-unit results it already flushed, byte-identical to a cold run;
+  per-unit results it already flushed, byte-identical to a cold run,
+  and its pool workers exit instead of outliving it;
 * atomic writes — ``repro.fsutil`` never tears a file, even when the
   write itself fails.
 """
@@ -25,6 +26,7 @@ import dataclasses
 import json
 import os
 import pickle
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -427,6 +429,27 @@ def _unit_result_rows(store_path: Path) -> int:
         return 0
 
 
+def _child_pids(pid: int) -> set[int]:
+    """Current children of ``pid``, from every thread's ``/proc`` list."""
+    children: set[int] = set()
+    for listing in sorted(Path(f"/proc/{pid}/task").glob("*/children")):
+        try:
+            children.update(int(child) for child in listing.read_text().split())
+        # repro-lint: disable=X-SWALLOW — a thread that exited meanwhile has no children left to list
+        except OSError:
+            continue
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs; an unreaped zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 class TestSigkillResume:
     def test_resume_after_sigkill_matches_cold_run_bytes(
         self, pristine_corpus, clean_json, tmp_path
@@ -446,6 +469,7 @@ class TestSigkillResume:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         store_path = store_path_for(cache)
+        workers: set[int] = set()
         deadline = time.monotonic() + 120
         try:
             # Kill the instant the run has flushed its first per-unit
@@ -453,6 +477,7 @@ class TestSigkillResume:
             while time.monotonic() < deadline:
                 if process.poll() is not None:
                     break
+                workers |= _child_pids(process.pid)
                 if _unit_result_rows(store_path) >= 1:
                     process.kill()
                     break
@@ -464,6 +489,17 @@ class TestSigkillResume:
                 process.wait()
         flushed = _unit_result_rows(store_path)
         assert flushed >= 1, "the interrupted run flushed nothing"
+
+        # Nobody is left to shut the pool down: its workers must notice
+        # on their own that their parent is gone.
+        assert workers, "the audit started no pool workers"
+        deadline = time.monotonic() + 15
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = sorted(pid for pid in workers if _running(pid))
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)  # leak nothing past a failure
+        assert not survivors, f"pool workers outlived their killed parent: {survivors}"
 
         output = tmp_path / "resumed.json"
         status = repro_main([

@@ -13,7 +13,14 @@ results on those exact bytes:
   byte-identical :class:`ParsedTrace` output per artifact;
 * replaying the corpus through the engine sequentially and with
   ``--jobs 2`` (which exercises sub-shard splitting) must serialize to
-  the same JSON document as the in-memory audit of the same config.
+  the same JSON document as the in-memory audit of the same config;
+* batch decryption of every mobile unit, clean and ``reorder-dup``
+  impaired, each with its full key log and with every second secret
+  withheld (the golden corpus has no pinned-certificate flows, so this
+  is what makes opaque contacts), must hash to
+  :data:`DECODE_FINGERPRINT`.  Parity between decode paths cannot
+  catch a change made to all of them at once, and fields such as
+  ``OpaqueContact.frame_count`` never reach the report.
 
 Regenerate the digest file only for an *intentional* generator change:
 ``PYTHONPATH=src python -m repro generate --output D --scale 0.002
@@ -33,11 +40,17 @@ from repro.pipeline.corpus import parsed_trace_from_mobile
 from repro.pipeline.engine import generate_corpus_artifacts
 from repro.pipeline.replay import ReplayCorpus
 from repro.reporting.export import result_to_json
+from repro.stream.impair import impair_pcap, impairment_profile, trace_impair_seed
 
 GOLDEN_CONFIG = CorpusConfig(
     seed=11, scale=0.002, profile="light", services=("tiktok", "youtube")
 )
 DIGEST_FILE = Path(__file__).parent / "data" / "golden_corpus.sha256"
+# SHA-256 over decryption_fingerprint() of each mobile unit (sorted by
+# name): clean then reorder-dup impaired, each with the full then the
+# halved key log.  Change it only for an intentional change to decode
+# output.
+DECODE_FINGERPRINT = "7f07760394f66d1e7d7a5e09a65c19181b7a2922740482cf5db3a9956c99d264"
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +117,48 @@ class TestDecodeApiParity:
             assert decryption.packet_count > 0
             recovered += len(decryption.requests)
         assert recovered > 0, "no plaintext recovered from the golden corpus"
+
+
+def decryption_fingerprint(decryption) -> tuple:
+    """What :data:`DECODE_FINGERPRINT` hashes; changing it means re-pinning."""
+    return (
+        [(r.flow, r.request.timestamp, r.request.to_bytes()) for r in decryption.requests],
+        [(o.host, o.first_timestamp, o.frame_count) for o in decryption.opaque],
+        decryption.packet_count,
+        decryption.flow_count,
+        decryption.undecryptable_flows,
+    )
+
+
+class TestPinnedDecode:
+    def test_batch_decode_matches_pinned_fingerprint(self, golden_corpus):
+        corpus = ReplayCorpus.scan(golden_corpus)
+        units = sorted(
+            (unit for unit in corpus.units if unit.pcap is not None),
+            key=lambda unit: unit.meta.name,
+        )
+        assert units, "golden corpus must contain mobile traces"
+        digest = hashlib.sha256()
+        opaque = 0
+        for unit in units:
+            keylog_text = (
+                unit.keylog.read_text(encoding="utf-8") if unit.keylog else ""
+            )
+            halved = "\n".join(keylog_text.splitlines()[::2])
+            raw = unit.pcap.read_bytes()
+            impaired = impair_pcap(
+                PcapFile.from_bytes(raw),
+                impairment_profile("reorder-dup"),
+                trace_impair_seed(GOLDEN_CONFIG.seed, unit.meta.name),
+            ).to_bytes()
+            for capture in (raw, impaired):
+                for keylog in (keylog_text, halved):
+                    decryption = decrypt_mobile_artifact(capture, keylog)
+                    opaque += len(decryption.opaque)
+                    fingerprint = repr(decryption_fingerprint(decryption))
+                    digest.update(fingerprint.encode())
+        assert opaque > 0, "golden corpus must contain opaque contacts"
+        assert digest.hexdigest() == DECODE_FINGERPRINT
 
 
 class TestEngineParityOnGoldenCorpus:

@@ -1,7 +1,9 @@
 """Unit tests for the persistent classification store."""
 
+import os
 import pickle
 import sqlite3
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -225,7 +227,30 @@ def _worker_put(args):
     return worker
 
 
+def _open_at(args):
+    path, start = args
+    # Line every opener up on one instant (the monotonic clock is
+    # system-wide on Linux, so processes can share it).
+    while time.monotonic() < start:
+        pass
+    with ClassificationStore(path) as store:
+        store.put_many("clf", [_verdict("shared")])
+    return True
+
+
 class TestConcurrentAccess:
+    def test_simultaneous_opens_of_a_fresh_store(self, tmp_path):
+        # More openers than cores race to create one fresh store per
+        # round; the loser of the switch to WAL must wait, not fail
+        # with "database is locked".
+        openers = (os.cpu_count() or 1) + 2
+        with ProcessPoolExecutor(max_workers=openers) as pool:
+            for round_ in range(30):
+                start = time.monotonic() + 0.05
+                job = (tmp_path / f"s{round_}.sqlite", start)
+                futures = [pool.submit(_open_at, job) for _ in range(openers)]
+                assert all(future.result(timeout=60) for future in futures)
+
     def test_multi_process_writers(self, tmp_path):
         path = tmp_path / "s.sqlite"
         with ProcessPoolExecutor(max_workers=4) as pool:

@@ -214,6 +214,35 @@ class TestIncrementalReassembly:
         assert inc_data == batch_data
         assert inc_complete == batch_complete
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.binary(min_size=1, max_size=3000), min_size=1, max_size=4),
+        st.integers(0, 2**31),
+    )
+    def test_frames_count_every_segment_fed(self, payloads, seed):
+        # Interleaved reordered flows with duplicates: each flow's frame
+        # count is every segment fed for it, through either API.
+        fed = {}
+        segments = []
+        for index, payload in enumerate(payloads):
+            flow = FLOW._replace(client_port=FLOW.client_port + index)
+            own = [
+                item._replace(src_port=flow.client_port)
+                for item in impaired_segments(payload, seed + index)
+            ]
+            fed[flow] = len(own)
+            segments += own
+        random.Random(seed).shuffle(segments)
+        batch = TcpReassembler()
+        incremental = TcpReassembler()
+        for item in segments:
+            batch.add_segment(item)
+            incremental.add_segment(item)
+            incremental.drain_ready(FLOW._replace(client_port=item.src_port))
+        assert {flow.flow: flow.frames for flow in batch.flows()} == fed
+        popped = [incremental.pop_flow(flow) for flow in incremental.flow_ids()]
+        assert {flow.flow: flow.frames for flow in popped} == fed
+
     def test_drain_releases_memory_as_stream_arrives(self):
         payload = b"m" * 50_000
         reassembler = TcpReassembler()
