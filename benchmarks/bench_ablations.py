@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for four design choices of the pipeline.
 
 1. ATS decision rule: any-list (paper) vs majority-of-lists.
 2. Classification confidence threshold: accuracy/coverage trade-off.

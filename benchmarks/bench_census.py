@@ -4,7 +4,7 @@ Paper: 320 first-party, 33 first-party ATS, 150 third-party, 485
 third-party ATS domains; at least 212 organizations.
 """
 
-from repro.reporting import render_census
+from repro.reporting.figures import render_census
 
 
 def test_destination_census(benchmark, result, save_artifact):

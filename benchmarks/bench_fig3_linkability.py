@@ -2,7 +2,7 @@
 
 from repro.linkability.analysis import linkability_matrix
 from repro.model import ALL_COLUMNS
-from repro.reporting import render_fig3
+from repro.reporting.figures import render_fig3
 
 PAPER = {
     "duolingo": (19, 58, 51, 14),

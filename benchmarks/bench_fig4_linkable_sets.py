@@ -2,7 +2,7 @@
 
 from repro.linkability.analysis import linkability_matrix, most_common_linkable_set
 from repro.model import ALL_COLUMNS, TraceColumn
-from repro.reporting import render_fig4
+from repro.reporting.figures import render_fig4
 
 PAPER = {
     "duolingo": (11, 11, 11, 11),

@@ -1,7 +1,7 @@
 """Figure 5 — top third-party ATS organizations sent linkable data."""
 
 from repro.linkability.alluvial import alluvial_edges, top_ats_organizations
-from repro.reporting import render_fig5
+from repro.reporting.figures import render_fig5
 
 # Organizations named in the paper's Figure 5 that must rank highly.
 PAPER_HEAD_ORGS = (

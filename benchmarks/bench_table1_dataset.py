@@ -7,7 +7,7 @@ are scale-independent and land within ~10% of the paper's.
 
 from repro.pipeline.corpus import CorpusProcessor
 from repro.pipeline.dataset import DatasetSummary
-from repro.reporting import render_table1
+from repro.reporting.tables import render_table1
 
 PAPER_ROWS = {
     "duolingo": (122, 69, 60_909, 1_466),

@@ -3,7 +3,7 @@
 from collections import Counter
 
 from repro.ontology.coppa_ccpa import OBSERVED_LEVEL3
-from repro.reporting import render_table2
+from repro.reporting.tables import render_table2
 
 
 def observed_categories(result, min_support: int = 20):

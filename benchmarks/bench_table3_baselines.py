@@ -6,15 +6,13 @@ zero-shot 4% — all far below the GPT-4 classifier.
 
 import pytest
 
-from repro.datatypes import (
-    BertFuzzyClassifier,
-    FewShotClassifier,
-    MajorityVoteClassifier,
-    TfidfFuzzyClassifier,
-    ZeroShotClassifier,
-)
+from repro.datatypes.bertsim import BertFuzzyClassifier
+from repro.datatypes.fewshot import FewShotClassifier
+from repro.datatypes.majority import MajorityVoteClassifier
+from repro.datatypes.tfidf import TfidfFuzzyClassifier
 from repro.datatypes.validation import draw_sample, validate_classifier
-from repro.reporting import render_table
+from repro.datatypes.zeroshot import ZeroShotClassifier
+from repro.reporting.tables import render_table
 from repro.services.payloads import PayloadFactory
 
 PAPER = {

@@ -10,7 +10,7 @@ import pytest
 from repro.datatypes.gpt4 import temperature_sweep
 from repro.datatypes.majority import MajorityVoteClassifier
 from repro.datatypes.validation import draw_sample, validate_classifier
-from repro.reporting import render_table3
+from repro.reporting.tables import render_table3
 from repro.services.payloads import PayloadFactory
 
 PAPER = {

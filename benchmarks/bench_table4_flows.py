@@ -6,7 +6,7 @@ Our pipeline reproduces the grid cell-for-cell.
 """
 
 from repro.model import ALL_COLUMNS
-from repro.reporting import render_table4
+from repro.reporting.tables import render_table4
 from repro.services.profiles import FLOW_CELLS, LEVEL2_ROWS, all_profiles
 
 

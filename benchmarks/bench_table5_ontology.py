@@ -1,6 +1,6 @@
 """Table 5 — the COPPA/CCPA data type ontology itself."""
 
-from repro.reporting import render_table5
+from repro.reporting.tables import render_table5
 from repro.reporting.tables import ontology_statistics
 
 

@@ -16,13 +16,11 @@ used (plain words, abbreviations, camel-case compounds, opaque junk).
 
 import sys
 
-from repro.datatypes import (
-    BertFuzzyClassifier,
-    MajorityVoteClassifier,
-    TfidfFuzzyClassifier,
-    ZeroShotClassifier,
-)
+from repro.datatypes.bertsim import BertFuzzyClassifier
 from repro.datatypes.gpt4 import temperature_sweep
+from repro.datatypes.majority import MajorityVoteClassifier
+from repro.datatypes.tfidf import TfidfFuzzyClassifier
+from repro.datatypes.zeroshot import ZeroShotClassifier
 
 DEMO_KEYS = [
     "email",

@@ -24,7 +24,8 @@ from repro.datatypes.majority import MajorityVoteClassifier
 from repro.model import AGE_COLUMNS, FlowCell, Platform, TraceColumn
 from repro.ontology.nodes import Level2
 from repro.pipeline.corpus import CorpusProcessor
-from repro.services import CorpusConfig, TrafficGenerator
+from repro.services.config import CorpusConfig
+from repro.services.generator import TrafficGenerator
 from repro.services.catalog import ServiceSpec
 from repro.services.profiles import ServiceProfile, VolumeTargets, _parse_grid
 

@@ -17,14 +17,13 @@ import time
 
 from repro import CorpusConfig, DiffAudit
 from repro.linkability.analysis import linkability_matrix
-from repro.reporting import (
+from repro.reporting.figures import (
     render_census,
     render_fig3,
     render_fig4,
     render_fig5,
-    render_table1,
-    render_table4,
 )
+from repro.reporting.tables import render_table1, render_table4
 
 
 def main() -> None:

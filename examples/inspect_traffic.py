@@ -16,14 +16,14 @@ Usage::
 import sys
 from pathlib import Path
 
-from repro.capture import decrypt_mobile_artifact
+from repro.capture.decrypt import decrypt_mobile_artifact
 from repro.datatypes.extract import extract_from_request
 from repro.model import AgeGroup, Platform, TraceKind
 from repro.net.har import read_har
 from repro.net.pcap import PcapFile
 from repro.net.tls import KeyLog
 from repro.pipeline.corpus import CorpusProcessor
-from repro.services import CorpusConfig
+from repro.services.config import CorpusConfig
 
 
 def main() -> None:

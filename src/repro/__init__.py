@@ -12,40 +12,41 @@ Quickstart::
     result = DiffAudit(CorpusConfig(scale=0.02, services=("tiktok",))).run()
     print(result.audits["tiktok"].summary_lines())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See ``docs/architecture.md`` for the system inventory; the benches
+under ``benchmarks/`` regenerate every table and figure of the paper.
+
+The names below are imported from their defining module on first
+access, so ``import repro.net.pcap`` (or ``repro --version``) does not
+load the whole pipeline.
 """
 
-from repro.model import (
-    AgeGroup,
-    FlowCell,
-    Platform,
-    Presence,
-    TraceColumn,
-    TraceKind,
-)
-from repro.ontology import ONTOLOGY
-from repro.ontology.nodes import Level2, Level3
-from repro.datatypes.store import ClassificationStore, PersistentClassifier
-from repro.pipeline.diffaudit import DiffAudit, DiffAuditResult
-from repro.services.generator import CorpusConfig
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AgeGroup",
-    "FlowCell",
-    "Platform",
-    "Presence",
-    "TraceColumn",
-    "TraceKind",
-    "ONTOLOGY",
-    "Level2",
-    "Level3",
-    "DiffAudit",
-    "DiffAuditResult",
-    "CorpusConfig",
-    "ClassificationStore",
-    "PersistentClassifier",
-    "__version__",
-]
+# Public name -> defining module.
+_EXPORTS = {
+    "AgeGroup": "repro.model",
+    "FlowCell": "repro.model",
+    "Platform": "repro.model",
+    "Presence": "repro.model",
+    "TraceColumn": "repro.model",
+    "TraceKind": "repro.model",
+    "ONTOLOGY": "repro.ontology.coppa_ccpa",
+    "Level2": "repro.ontology.nodes",
+    "Level3": "repro.ontology.nodes",
+    "DiffAudit": "repro.pipeline.diffaudit",
+    "DiffAuditResult": "repro.pipeline.diffaudit",
+    "CorpusConfig": "repro.services.config",
+    "ClassificationStore": "repro.datatypes.store",
+    "PersistentClassifier": "repro.datatypes.store",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(import_module(module), name)

@@ -7,48 +7,8 @@
 * :mod:`repro.audit.findings` — finding records and severities;
 * :mod:`repro.audit.differential` — cross-age, consent-state and
   platform differential analyses;
-* :mod:`repro.audit.report` — per-service and corpus audit reports.
+* :mod:`repro.audit.report` — per-service and corpus audit reports;
+* :mod:`repro.audit.contextual` — contextual-integrity judgments of
+  flows (``report ci``);
+* :mod:`repro.audit.policytext` — privacy-policy text parsing.
 """
-
-from repro.audit.findings import Finding, FindingKind, Severity
-from repro.audit.laws import LawAuditor
-from repro.audit.policy import PolicyModel, policy_for
-from repro.audit.differential import (
-    AgeDifferentialResult,
-    PlatformDifferenceResult,
-    compare_age_groups,
-    logged_out_flows,
-    platform_differences,
-)
-from repro.audit.report import ServiceAuditReport, audit_service
-from repro.audit.contextual import (
-    Appropriateness,
-    CiFlow,
-    ci_flow_for,
-    judge,
-    summarize,
-)
-from repro.audit.policytext import ParsedPolicy, parse_policy
-
-__all__ = [
-    "Appropriateness",
-    "CiFlow",
-    "ci_flow_for",
-    "judge",
-    "summarize",
-    "ParsedPolicy",
-    "parse_policy",
-    "Finding",
-    "FindingKind",
-    "Severity",
-    "LawAuditor",
-    "PolicyModel",
-    "policy_for",
-    "AgeDifferentialResult",
-    "PlatformDifferenceResult",
-    "compare_age_groups",
-    "logged_out_flows",
-    "platform_differences",
-    "ServiceAuditReport",
-    "audit_service",
-]

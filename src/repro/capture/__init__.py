@@ -17,22 +17,3 @@ into the artifacts the real study collected:
 
 The downstream pipeline consumes *only* these artifacts.
 """
-
-from repro.capture.base import CaptureArtifact, TraceMeta
-from repro.capture.devtools import DevToolsCapture
-from repro.capture.frida import FridaPolicy
-from repro.capture.pcapdroid import MobileArtifact, PcapdroidCapture
-from repro.capture.proxyman import ProxymanCapture
-from repro.capture.decrypt import DecryptedRequest, decrypt_mobile_artifact
-
-__all__ = [
-    "CaptureArtifact",
-    "TraceMeta",
-    "DevToolsCapture",
-    "FridaPolicy",
-    "MobileArtifact",
-    "PcapdroidCapture",
-    "ProxymanCapture",
-    "DecryptedRequest",
-    "decrypt_mobile_artifact",
-]

@@ -20,6 +20,10 @@ processes; see ``docs/cli.md`` for the complete flag reference.
 SIGINT/SIGTERM are handled gracefully everywhere: parallel shard
 workers are torn down without traceback spew, a streaming session
 flushes a final snapshot, and the process exits 130.
+
+Every command imports the subsystems it runs inside its own function;
+at module level this file loads only what ``build_parser`` needs, so a
+process pays start-up for its own command and nothing else.
 """
 
 from __future__ import annotations
@@ -29,21 +33,21 @@ import signal
 import sys
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro import CorpusConfig, DiffAudit
-from repro.datatypes.store import StoreError
-from repro.faults import FAULT_PROFILES, FaultPlan
+from repro.faults.plan import FAULT_PROFILES, FaultPlan
 from repro.fsutil import atomic_write_text
 from repro.lint.cli import add_lint_arguments
 from repro.lint.cli import run_from_args as _run_lint_args
-from repro.pipeline.replay import ReplayCorpus, ReplayError, replay_config
-from repro.services.catalog import SERVICES
-from repro.services.generator import LOAD_PROFILES
-from repro.stream.impair import IMPAIRMENT_PROFILES
+from repro.services.config import (
+    IMPAIRMENT_PROFILES,
+    LOAD_PROFILES,
+    SERVICE_KEYS,
+    CorpusConfig,
+)
 
-# Derived from the catalog so the CLI choices can never drift from the
-# services the pipeline actually knows.
-_SERVICES = tuple(spec.key for spec in SERVICES())
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pipeline.replay import ReplayCorpus
 
 # Effective defaults for corpus flags.  The parser's own defaults are
 # None ("not specified") so `audit --from-artifacts` can tell an
@@ -65,7 +69,7 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--services",
         nargs="+",
-        choices=_SERVICES,
+        choices=SERVICE_KEYS,
         default=None,
         help="subset of services (default: all six)",
     )
@@ -251,6 +255,8 @@ def _config(args, corpus: ReplayCorpus | None = None) -> CorpusConfig:
                     "unchanged, only the reported config differs",
                     file=sys.stderr,
                 )
+        from repro.pipeline.replay import replay_config
+
         return replay_config(
             corpus,
             seed=args.seed,
@@ -274,6 +280,8 @@ def _config(args, corpus: ReplayCorpus | None = None) -> CorpusConfig:
 def _scan_replay_corpus(args) -> ReplayCorpus | None:
     if not getattr(args, "from_artifacts", None):
         return None
+    from repro.pipeline.replay import ReplayCorpus
+
     return ReplayCorpus.scan(Path(args.from_artifacts))
 
 
@@ -324,6 +332,10 @@ def cmd_audit(args) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
+    from repro.datatypes.store import StoreError
+    from repro.pipeline.diffaudit import DiffAudit
+    from repro.pipeline.replay import ReplayError
+
     span_sink = None
     if args.spans_out:
         from repro.obs.trace import SpanRecorder
@@ -436,16 +448,16 @@ def cmd_stream(args) -> int:
     """Incremental bounded-memory audit over a packet feed."""
     import json as json_module
 
+    from repro.datatypes.store import StoreError
     from repro.net.pcap import PcapError
-    from repro.stream import (
+    from repro.pipeline.replay import ReplayCorpus, ReplayError
+    from repro.stream.incremental import EvictionPolicy
+    from repro.stream.session import StreamAudit, StreamError, snapshot_summary
+    from repro.stream.sources import (
         ArtifactStreamSource,
-        EvictionPolicy,
         FollowPcapSource,
         LiveGeneratorSource,
         SingleCaptureSource,
-        StreamAudit,
-        StreamError,
-        snapshot_summary,
     )
 
     chosen = [
@@ -607,7 +619,7 @@ def cmd_stream(args) -> int:
 def cmd_classify(args) -> int:
     from repro.datatypes.cache import CachingClassifier
     from repro.datatypes.majority import MajorityVoteClassifier
-    from repro.datatypes.store import PersistentClassifier, store_path_for
+    from repro.datatypes.store import PersistentClassifier, StoreError, store_path_for
 
     keys = args.keys
     if not keys:
@@ -672,6 +684,7 @@ def cmd_classify(args) -> int:
 
 def cmd_generate(args) -> int:
     from repro.pipeline.engine import generate_corpus_artifacts
+    from repro.pipeline.replay import ReplayError
 
     directory = Path(args.output)
     try:
@@ -688,6 +701,10 @@ def cmd_report(args) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
+    from repro.datatypes.store import StoreError
+    from repro.pipeline.diffaudit import DiffAudit
+    from repro.pipeline.replay import ReplayError
+
     try:
         corpus = _scan_replay_corpus(args)
         result = DiffAudit(
@@ -703,11 +720,13 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     from repro.linkability.analysis import linkability_matrix
-    from repro.reporting import (
+    from repro.reporting.figures import (
         render_census,
         render_fig3,
         render_fig4,
         render_fig5,
+    )
+    from repro.reporting.tables import (
         render_table1,
         render_table2,
         render_table4,
@@ -800,6 +819,8 @@ def _open_store(args):
 
 
 def cmd_cache_stats(args) -> int:
+    from repro.datatypes.store import StoreError
+
     store = _open_store(args)
     if store is None:
         return 2
@@ -830,6 +851,8 @@ def cmd_cache_stats(args) -> int:
 
 def cmd_cache_export(args) -> int:
     import json
+
+    from repro.datatypes.store import StoreError
 
     store = _open_store(args)
     if store is None:
@@ -867,6 +890,8 @@ def cmd_cache_export(args) -> int:
 
 
 def cmd_cache_prune(args) -> int:
+    from repro.datatypes.store import StoreError
+
     if args.classifier is None and args.below is None and not args.unit_results:
         print(
             "error: prune needs --classifier, --below and/or --unit-results "
@@ -898,6 +923,8 @@ def cmd_cache_prune(args) -> int:
 
 
 def cmd_cache_clear(args) -> int:
+    from repro.datatypes.store import StoreError
+
     store = _open_store(args)
     if store is None:
         return 2
@@ -969,6 +996,28 @@ def _package_version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print ``repro <version>`` and exit.
+
+    argparse's own version action needs the string when the parser is
+    built, and the metadata lookup behind it costs every command tens
+    of milliseconds; this one looks the version up only when asked.
+    """
+
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(
+            option_strings,
+            dest=argparse.SUPPRESS,
+            default=argparse.SUPPRESS,
+            nargs=0,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        print(f"{parser.prog} {_package_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -976,8 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version",
-        action="version",
-        version=f"%(prog)s {_package_version()}",
+        action=_VersionAction,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1078,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--services",
         nargs="+",
-        choices=_SERVICES,
+        choices=SERVICE_KEYS,
         default=None,
         help="subset of services (default: all six / all in the corpus)",
     )

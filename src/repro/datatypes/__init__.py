@@ -17,33 +17,3 @@
 * :mod:`repro.datatypes.validation` — the manually-labeled-sample
   validation harness that regenerates Table 3.
 """
-
-from repro.datatypes.base import Classification, Classifier
-from repro.datatypes.cache import CachingClassifier
-from repro.datatypes.extract import ExtractedKey, extract_from_request, extract_keys
-from repro.datatypes.gpt4 import Gpt4Classifier, GPT4_PROMPT, TEMPERATURES
-from repro.datatypes.majority import MajorityVoteClassifier
-from repro.datatypes.tfidf import TfidfFuzzyClassifier
-from repro.datatypes.bertsim import BertFuzzyClassifier
-from repro.datatypes.zeroshot import ZeroShotClassifier
-from repro.datatypes.fewshot import FewShotClassifier
-from repro.datatypes.validation import ValidationReport, validate_classifier
-
-__all__ = [
-    "CachingClassifier",
-    "Classification",
-    "Classifier",
-    "ExtractedKey",
-    "extract_from_request",
-    "extract_keys",
-    "Gpt4Classifier",
-    "GPT4_PROMPT",
-    "TEMPERATURES",
-    "MajorityVoteClassifier",
-    "TfidfFuzzyClassifier",
-    "BertFuzzyClassifier",
-    "ZeroShotClassifier",
-    "FewShotClassifier",
-    "ValidationReport",
-    "validate_classifier",
-]

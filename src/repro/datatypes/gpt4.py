@@ -51,8 +51,8 @@ GPT4_PROMPT = (
     "<category> // <score> // <explanation>."
 )
 
-# Behaviour calibration (tuned against Table 3's shape; see
-# EXPERIMENTS.md for measured-vs-paper numbers).
+# Behaviour calibration (tuned against Table 3's shape;
+# benchmarks/bench_table3_classifier.py prints measured vs paper).
 #
 # Noise has two parts.  *Correlated* noise models inputs that mislead
 # the model the same way at every temperature (hard keys are hard for

@@ -712,6 +712,9 @@ class DomainUniverse:
             for name, eslds, cats, fp in _NAMED_ATS
         ]
         self.tail_ats_orgs = _synthesize_tail_ats(rng)
+        # Organization is frozen, hence hashable; the entity DB and
+        # whois test tail membership once per eSLD or lookup.
+        self._tail_ats = frozenset(self.tail_ats_orgs)
         self.non_ats_orgs = [
             Organization(name=name, eslds=eslds, is_ats=False, categories=cats)
             for name, eslds, cats in _NAMED_NON_ATS
@@ -757,6 +760,10 @@ class DomainUniverse:
 
     def org_of_esld(self, domain: str) -> Organization | None:
         return self._org_by_esld.get(domain)
+
+    def is_tail_ats(self, org: Organization) -> bool:
+        """Is ``org`` one of the synthesized long-tail ATS organizations?"""
+        return org in self._tail_ats
 
     def org_of_fqdn(self, fqdn: str) -> Organization | None:
         return self.org_of_esld(esld_of(fqdn))

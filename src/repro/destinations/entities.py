@@ -50,8 +50,7 @@ class EntityDatabase:
             # Named orgs are always covered; only the synthesized tail
             # can be missing, mirroring Tracker Radar's head-heavy
             # coverage.
-            in_tail = org in self._universe.tail_ats_orgs
-            if in_tail and rng.random() > coverage:
+            if self._universe.is_tail_ats(org) and rng.random() > coverage:
                 continue
             self._records[domain] = EntityRecord(
                 domain=domain,

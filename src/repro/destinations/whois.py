@@ -61,7 +61,7 @@ class WhoisClient:
         bucket = self._bucket(domain)
         if org is None:
             raise WhoisTimeout(f"no route to registry for {domain!r}")
-        is_tail = org in self.universe.tail_ats_orgs
+        is_tail = self.universe.is_tail_ats(org)
         if is_tail and bucket < self.timeout_rate:
             raise WhoisTimeout(f"whois query for {domain!r} timed out")
         redacted = is_tail and bucket < self.timeout_rate + self.redaction_rate

@@ -39,7 +39,6 @@ import hashlib
 import os
 from dataclasses import dataclass
 
-from repro.datatypes.store import StoreError
 from repro.obs.metrics import REGISTRY
 
 # Fired-fault accounting, labeled (kind, profile).  Corrupt/stall/store
@@ -197,6 +196,10 @@ class FlakyStore:
         def flaky(*args, **kwargs):
             self._calls += 1
             if self._plan.store_fault(name, self._calls):
+                # Local: the CLI reads FAULT_PROFILES for its flags, and
+                # no other command should load the store for that.
+                from repro.datatypes.store import StoreError
+
                 FAULTS_FIRED.labels("flaky-store", self._plan.profile).inc()
                 raise StoreError(
                     f"injected transient store fault ({name} call "

@@ -11,10 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint import all_rules
-from repro.lint.engine import BaselineError, run_lint, write_baseline
-from repro.lint.report import render_json, render_text
-
 #: Default baseline filename, looked up relative to ``--root``.
 BASELINE_NAME = "lint-baseline.json"
 
@@ -71,6 +67,8 @@ class UsageError(ValueError):
 
 
 def _selected_rules(args) -> list:
+    from repro.lint.engine import all_rules
+
     rules = list(all_rules())
     known = {rule.rule_id for rule in rules}
     for flag in ("select", "ignore"):
@@ -93,6 +91,11 @@ def _selected_rules(args) -> list:
 
 def run_from_args(args) -> int:
     """Execute one lint run described by parsed ``args``."""
+    # The linter loads here, not with this module: ``repro`` builds
+    # its ``lint`` subparser from add_lint_arguments on every command.
+    from repro.lint.engine import BaselineError, all_rules, run_lint, write_baseline
+    from repro.lint.report import render_json, render_text
+
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.rule_id:14s} [{rule.severity}] {rule.summary}")

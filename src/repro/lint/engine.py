@@ -331,6 +331,21 @@ class LintResult:
         return not self.findings
 
 
+def all_rules() -> tuple[Rule, ...]:
+    """Every registered rule, D then X then S."""
+    # Local: the rule modules import this one.
+    from repro.lint import determinism, executor, sync
+
+    return determinism.ALL + executor.ALL + sync.ALL
+
+
+def doc_rules() -> tuple[Rule, ...]:
+    """The docs-sync subset ``tools/check_docs.py`` runs."""
+    from repro.lint import sync
+
+    return sync.DOC_RULES
+
+
 def run_lint(
     root: Path,
     targets: Sequence[Path] | None = None,
@@ -342,8 +357,6 @@ def run_lint(
     ``targets`` defaults to the repository's source roots that exist
     under ``root``; project rules run once regardless of targets.
     """
-    from repro.lint import all_rules  # local: registry imports rules
-
     root = Path(root).resolve()
     active: list[Rule] = list(rules) if rules is not None else list(all_rules())
     ast_rules = [rule for rule in active if isinstance(rule, AstRule)]

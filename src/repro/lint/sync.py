@@ -289,8 +289,7 @@ class NamedProfileRule(ProjectRule):
 
     def check(self, project: Project) -> Iterator[Finding]:
         from repro.faults import FAULT_PROFILES
-        from repro.services.generator import LOAD_PROFILES
-        from repro.stream.impair import IMPAIRMENT_PROFILES
+        from repro.services.config import IMPAIRMENT_PROFILES, LOAD_PROFILES
 
         path = project.root / "docs" / "cli.md"
         if not path.exists():

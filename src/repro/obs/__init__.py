@@ -9,7 +9,9 @@ Three pieces, one contract:
   managers over an injectable monotonic clock) that the stage
   profiler is now a view over.
 * :mod:`repro.obs.http` — a read-only ``/metrics`` + ``/stats``
-  endpoint for live sessions.
+  endpoint for live sessions.  Import it from its module: only
+  ``repro stream --metrics-port`` serves, and the HTTP stack it loads
+  would otherwise ride along with every process that counts a metric.
 
 The contract: telemetry is *observational only*.  Audit and report
 outputs are byte-identical with telemetry surfaced or not, because
@@ -24,7 +26,6 @@ from pathlib import Path
 
 from repro.fsutil import atomic_write_text
 from repro.obs.catalog import CATALOG, MetricSpec, spec_for
-from repro.obs.http import MetricsServer
 from repro.obs.metrics import (
     CONTENT_TYPE,
     DEFAULT_BUCKETS,
@@ -41,7 +42,6 @@ __all__ = [
     "REGISTRY",
     "MetricSpec",
     "MetricsRegistry",
-    "MetricsServer",
     "SpanEvent",
     "SpanRecorder",
     "merge_snapshots",

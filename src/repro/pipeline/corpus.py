@@ -11,18 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.capture.base import TraceMeta
 from repro.capture.decrypt import decrypt_mobile_artifact
-from repro.capture.devtools import DevToolsCapture
-from repro.capture.pcapdroid import PcapdroidCapture
-from repro.capture.proxyman import ProxymanCapture
 from repro.fsutil import atomic_write_bytes, atomic_write_text
 from repro.model import Platform
 from repro.net.har import Har, har_from_json, har_to_json, write_har
 from repro.net.http import HttpRequest
-from repro.services.generator import CorpusConfig, RawTrace, TrafficGenerator
+from repro.services.config import CorpusConfig, impairment_profile
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.services.generator import RawTrace
 
 
 @dataclass
@@ -99,6 +99,13 @@ class CorpusProcessor:
     unit_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        # Generation only: replaying a captured corpus needs the
+        # ParsedTrace helpers above, never the generator or capture.
+        from repro.capture.devtools import DevToolsCapture
+        from repro.capture.pcapdroid import PcapdroidCapture
+        from repro.capture.proxyman import ProxymanCapture
+        from repro.services.generator import TrafficGenerator
+
         self.generator = TrafficGenerator(self.config)
         self._devtools = DevToolsCapture()
         self._proxyman = ProxymanCapture()
@@ -134,11 +141,7 @@ class CorpusProcessor:
             # Same per-trace seed derivation as the live streaming
             # source, so `generate --impair` artifacts replay to the
             # exact result an in-memory impaired audit produces.
-            from repro.stream.impair import (
-                impair_pcap,
-                impairment_profile,
-                trace_impair_seed,
-            )
+            from repro.stream.impair import impair_pcap, trace_impair_seed
 
             pcap = impair_pcap(
                 pcap,

@@ -44,7 +44,7 @@ from repro.pipeline.dataset import DatasetSummary
 from repro.pipeline.engine import AuditEngine, labeler_for
 from repro.pipeline.profile import profile_document
 from repro.pipeline.replay import ReplayCorpus
-from repro.services.generator import CorpusConfig
+from repro.services.config import CorpusConfig
 
 
 @dataclass

@@ -46,15 +46,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import os
 import pickle
 import signal
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -95,7 +92,7 @@ from repro.pipeline.replay import (
     write_manifest,
 )
 from repro.services.catalog import ServiceSpec
-from repro.services.generator import CorpusConfig
+from repro.services.config import CorpusConfig
 
 # Engine telemetry (see docs/observability.md).  Bound once; every
 # increment is a plain attribute add.  Instrumentation is
@@ -410,6 +407,8 @@ def _apply_worker_faults(task: ShardTask) -> None:
     faults = task.faults
     if faults is None:
         return
+    import multiprocessing
+
     in_pool_worker = multiprocessing.parent_process() is not None
     if in_pool_worker:
         poison = faults.poison_unit
@@ -716,6 +715,8 @@ def _process_shard_packed(task: ShardTask) -> PackedShardResult:
     registry — resetting it would destroy the run's telemetry, so no
     snapshot ships.
     """
+    import multiprocessing
+
     in_pool_worker = multiprocessing.parent_process() is not None
     if in_pool_worker:
         REGISTRY.reset()
@@ -913,6 +914,18 @@ def split_shard_tasks(tasks: list[ShardTask], jobs: int) -> list[ShardTask]:
     return _apply_split_plans(tasks, per_task_costs, jobs, _shard_sub_task)
 
 
+def _import_generation() -> None:
+    """Load generate → capture in the parent before a pool forks.
+
+    Generated shards run it in every worker, and a module first
+    imported after the fork is compiled once per worker; imported
+    here, the workers inherit it.  Replayed corpora never need it.
+    """
+    import repro.capture.devtools  # noqa: F401
+    import repro.capture.pcapdroid  # noqa: F401
+    import repro.capture.proxyman  # noqa: F401
+
+
 @dataclass(slots=True)
 class GenerateShard:
     """One generate-only work item (whole service or a unit slice)."""
@@ -969,6 +982,7 @@ def generate_corpus_artifacts(
         for spec in specs
     ]
     if jobs > 1:
+        _import_generation()
         per_shard_costs = [
             estimate_unit_costs(shard.config, spec)
             for shard, spec in zip(shards, specs)
@@ -1120,9 +1134,11 @@ class ProcessPoolShardExecutor:
     Worker crashes are survivable: a killed worker (OOM, segfault,
     injected fault) breaks the whole pool and poisons every pending
     future with :class:`BrokenProcessPool`.  Completed results are
-    kept, the pool is rebuilt, and the failed shards are retried with
-    bounded exponential backoff (``max_attempts`` total tries).  A
-    shard that dies on every attempt comes back as a
+    kept and the failed shards are retried with bounded exponential
+    backoff (``max_attempts`` total tries), each in a single-worker
+    pool of its own: only the first generation is shared, so a shard
+    that keeps killing its worker never uses up a healthy sibling's
+    attempts.  A shard that dies on every attempt comes back as a
     :class:`ShardCrash` sentinel in its slot — the engine decides
     whether to bisect, degrade, or raise.  Retries never reorder
     anything: results still land by input index, so output bytes are
@@ -1188,12 +1204,16 @@ class ProcessPoolShardExecutor:
                         current[index] = dataclasses.replace(
                             task, fault_attempt=attempt
                         )
-            pending = self._run_attempt(
-                {index: current[index] for index in pending},
-                work,
-                results,
-                on_result,
-            )
+            if attempt == 0:
+                pending = self._run_attempt(current, work, results, on_result)
+            else:
+                pending = [
+                    index
+                    for index in pending
+                    if self._run_attempt(
+                        {index: current[index]}, work, results, on_result
+                    )
+                ]
         for index in pending:
             results[index] = ShardCrash(
                 task=current[index],
@@ -1218,6 +1238,11 @@ class ProcessPoolShardExecutor:
         pool only costs the shards that had not finished — including
         any it broke before they could even be submitted.
         """
+        # Imported here, not with the engine: ``--jobs 1`` and
+        # ``repro stream`` never start a pool.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.jobs, len(slots))
         # Heaviest first; ties keep canonical order for determinism.
         submission = sorted(
@@ -1809,6 +1834,8 @@ class AuditEngine:
                     # are already single-unit — nothing to split;
                     # their costs were stamped for LPT submission.)
                     tasks = split_shard_tasks(tasks, executor.jobs)
+                if self.replay is None:
+                    _import_generation()
                 self._slim_tasks(tasks)
                 packed = True
         work = _process_shard_packed if packed else process_shard

@@ -43,7 +43,7 @@ from repro.pipeline.corpus import (
     parsed_trace_from_har,
     parsed_trace_from_mobile,
 )
-from repro.services.generator import CorpusConfig
+from repro.services.config import CorpusConfig
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1

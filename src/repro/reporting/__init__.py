@@ -1,33 +1,11 @@
-"""Rendering of the paper's tables and figures as text artifacts.
+"""Rendering of audit results.
 
-Benchmarks print these so a run's output reads like the paper's
-results section; EXPERIMENTS.md records paper-vs-measured per item.
+* :mod:`repro.reporting.tables` — the paper's tables as text;
+* :mod:`repro.reporting.figures` — its figures and the destination
+  census as text;
+* :mod:`repro.reporting.export` — CSV/JSON exports of flows and
+  findings (what ``audit --json`` writes).
+
+Benchmarks print the renderers' output so a run's output reads like
+the paper's results section.
 """
-
-from repro.reporting.tables import (
-    render_table,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-    render_table5,
-)
-from repro.reporting.figures import (
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_census,
-)
-
-__all__ = [
-    "render_table",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "render_table4",
-    "render_table5",
-    "render_fig3",
-    "render_fig4",
-    "render_fig5",
-    "render_census",
-]

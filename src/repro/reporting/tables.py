@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.datatypes.validation import ValidationReport
+from typing import TYPE_CHECKING
+
 from repro.flows.dataflow import FlowTable
 from repro.model import ALL_COLUMNS, FlowCell, Presence
 from repro.ontology import ONTOLOGY
@@ -10,6 +11,9 @@ from repro.ontology.coppa_ccpa import OBSERVED_LEVEL3
 from repro.ontology.nodes import Level1, Level2
 from repro.pipeline.dataset import DatasetSummary
 from repro.services.profiles import FLOW_CELLS, LEVEL2_ROWS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.datatypes.validation import ValidationReport
 
 
 def render_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

@@ -14,31 +14,11 @@ transcribed from the paper's results:
 * :mod:`repro.services.sessions` — the interaction scripts (account
   creation, logged-in usage, logged-out browsing);
 * :mod:`repro.services.generator` — turns profiles into ordered
-  :class:`repro.net.http.HttpRequest` traces per platform.
+  :class:`repro.net.http.HttpRequest` traces per platform;
+* :mod:`repro.services.config` — :class:`CorpusConfig` and the named
+  service, load and impairment presets, kept apart from the generator
+  so a replayed audit never loads generation code.
 
 The *analysis* pipeline never reads the profiles — only the serialized
 HAR/PCAP artifacts produced by :mod:`repro.capture`.
 """
-
-from repro.services.catalog import SERVICES, ServiceSpec, service
-from repro.services.generator import (
-    LOAD_PROFILES,
-    CorpusConfig,
-    LoadProfile,
-    RawTrace,
-    TrafficGenerator,
-)
-from repro.services.profiles import ServiceProfile, profile_for
-
-__all__ = [
-    "SERVICES",
-    "ServiceSpec",
-    "service",
-    "CorpusConfig",
-    "LoadProfile",
-    "LOAD_PROFILES",
-    "RawTrace",
-    "TrafficGenerator",
-    "ServiceProfile",
-    "profile_for",
-]

@@ -26,6 +26,7 @@ from functools import lru_cache
 from repro.destinations.dataset import DomainUniverse, default_universe
 from repro.model import Platform
 from repro.net.psl import esld as esld_of
+from repro.services.config import SERVICE_KEYS
 from repro.services.profiles import ServiceProfile, all_profiles
 
 
@@ -334,7 +335,7 @@ def _build_spec(key: str, universe: DomainUniverse) -> ServiceSpec:
 @lru_cache(maxsize=1)
 def _catalog() -> dict[str, ServiceSpec]:
     universe = default_universe()
-    return {key: _build_spec(key, universe) for key in _META}
+    return {key: _build_spec(key, universe) for key in SERVICE_KEYS}
 
 
 def service(key: str) -> ServiceSpec:

@@ -23,7 +23,6 @@ The generator is fully deterministic for a given :class:`CorpusConfig`.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -36,7 +35,12 @@ from repro.net.http import Header, HttpRequest
 from repro.net.url import Url, encode_query
 from repro.ontology.nodes import Level2, Level3
 from repro.net.psl import esld as esld_of
-from repro.services.catalog import _SHARED_HEAD_ESLDS, ServiceSpec, SERVICES
+from repro.services.catalog import _SHARED_HEAD_ESLDS, ServiceSpec
+from repro.services.config import CorpusConfig
+# Defined with CorpusConfig, so replay never imports this module;
+# re-exported here for existing callers.
+from repro.services.config import LOAD_PROFILES as LOAD_PROFILES
+from repro.services.config import LoadProfile as LoadProfile
 from repro.services.payloads import PayloadFactory
 from repro.services.profiles import (
     FLOW_CELLS,
@@ -75,87 +79,6 @@ _PACKET_WEIGHTS = {
     TraceKind.LOGGED_IN: 2.0,
     TraceKind.LOGGED_OUT: 0.5,
 }
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """A named traffic-intensity preset (SNIPPETS-style load modes).
-
-    Profiles scale the configured volume without touching the
-    structural results: the Table 4 grid and the Figure 3/4 linkable
-    shapes are scale-independent, so a profile only moves packet and
-    flow volumes (and, for ``stress``, the request-rate density).
-    """
-
-    name: str
-    scale_multiplier: float  # packet/flow volume vs the configured scale
-    rate_multiplier: float = 1.0  # requests per wall-clock second
-    description: str = ""
-
-
-LOAD_PROFILES: dict[str, LoadProfile] = {
-    "light": LoadProfile(
-        "light", 0.25, description="quarter volume — smoke tests, CI"
-    ),
-    "standard": LoadProfile(
-        "standard", 1.0, description="the configured scale, unchanged"
-    ),
-    "heavy": LoadProfile(
-        "heavy", 4.0, 2.0, description="4x volume at double request rate"
-    ),
-    "stress": LoadProfile(
-        "stress", 10.0, 5.0, description="10x volume at 5x request rate"
-    ),
-}
-
-
-@dataclass
-class CorpusConfig:
-    """Knobs of the corpus generation run."""
-
-    seed: int = 2023
-    scale: float = 0.05  # volume multiplier vs the paper's Table 1
-    start_epoch: float = 1_697_364_000.0  # 2023-10-15 10:00:00 UTC
-    mobile_pin_rate: float = 1.0  # filler flows that stay TLS-opaque
-    services: tuple[str, ...] | None = None  # None = all six
-    # Extra linkable partners compensating for classifier attrition
-    # (only relevant when bundles use non-standard keys; the default
-    # stable-key bundles survive classification, so no overshoot).
-    fanout_overshoot: float = 1.0
-    profile: str = "standard"  # named load profile, see LOAD_PROFILES
-    # Named network-impairment profile applied to every mobile capture
-    # (see repro.stream.impair.IMPAIRMENT_PROFILES); None = clean link.
-    # Impairment is seeded per trace, so generation stays deterministic.
-    impair: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.profile not in LOAD_PROFILES:
-            known = ", ".join(sorted(LOAD_PROFILES))
-            raise ValueError(f"unknown load profile {self.profile!r} (known: {known})")
-        if self.impair is not None:
-            from repro.stream.impair import impairment_profile
-
-            impairment_profile(self.impair)  # fail fast on unknown names
-
-    @property
-    def load_profile(self) -> LoadProfile:
-        return LOAD_PROFILES[self.profile]
-
-    @property
-    def effective_scale(self) -> float:
-        """The volume multiplier after the load profile is applied."""
-        return self.scale * self.load_profile.scale_multiplier
-
-    def service_specs(self) -> list[ServiceSpec]:
-        specs = SERVICES()
-        if self.services is None:
-            return specs
-        wanted = set(self.services)
-        return [spec for spec in specs if spec.key in wanted]
-
-    def for_service(self, service: str) -> "CorpusConfig":
-        """This config restricted to one service (the engine's shard unit)."""
-        return dataclasses.replace(self, services=(service,))
 
 
 @dataclass

@@ -178,8 +178,7 @@ class ServiceProfile:
         Composed by walking LINKABLE_PRIORITY, keeping types whose
         level-2 parent is shared with third parties in this column,
         truncated to the Figure 4 target (which may exceed availability
-        — e.g. TikTok child — in which case availability wins; the
-        deviation is recorded in EXPERIMENTS.md).
+        — e.g. TikTok child — in which case availability wins).
         """
         allowed = set(self.shared_level2(column))
         target = self.largest_linkable_set[column]

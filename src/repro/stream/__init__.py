@@ -18,42 +18,3 @@ EOF yields findings byte-identical to the batch ``repro audit`` path
 is reassembler-level noise — while peak memory is bounded by the
 eviction budget instead of corpus size.
 """
-
-from repro.stream.impair import (
-    IMPAIRMENT_PROFILES,
-    ImpairmentInjector,
-    ImpairmentProfile,
-    impair_pcap,
-)
-from repro.stream.incremental import EvictionPolicy, IncrementalTraceDecoder
-from repro.stream.session import StreamAudit, StreamError, snapshot_summary
-from repro.stream.sources import (
-    ArtifactStreamSource,
-    FollowPcapSource,
-    KeylogProvider,
-    LiveGeneratorSource,
-    PacketSource,
-    PacketTrace,
-    SingleCaptureSource,
-    TraceDocument,
-)
-
-__all__ = [
-    "IMPAIRMENT_PROFILES",
-    "ImpairmentInjector",
-    "ImpairmentProfile",
-    "impair_pcap",
-    "EvictionPolicy",
-    "IncrementalTraceDecoder",
-    "StreamAudit",
-    "StreamError",
-    "snapshot_summary",
-    "ArtifactStreamSource",
-    "FollowPcapSource",
-    "KeylogProvider",
-    "LiveGeneratorSource",
-    "PacketSource",
-    "PacketTrace",
-    "SingleCaptureSource",
-    "TraceDocument",
-]

@@ -6,8 +6,10 @@ first-class (ovs-container-lab injects loss, reordering and
 duplication at the switch; cross-dc-simulator shapes latency per
 link).  This module brings that to the simulated capture path: an
 :class:`ImpairmentInjector` deterministically perturbs a packet
-sequence under a named :class:`ImpairmentProfile`, so adversarial
-corpora are reproducible from ``(profile, seed)`` alone.
+sequence under a named
+:class:`~repro.services.config.ImpairmentProfile` (the presets live
+with the corpus config, which validates them), so adversarial corpora
+are reproducible from ``(profile, seed)`` alone.
 
 Impairments split into two classes:
 
@@ -33,99 +35,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.net.packet import ETHERTYPE_IPV4, _U16, internet_checksum
 from repro.net.pcap import PcapFile, PcapPacket
+from repro.services.config import ImpairmentProfile
 
 Packet = tuple[float, bytes]
-
-
-@dataclass(frozen=True)
-class ImpairmentProfile:
-    """One named set of impairment intensities.
-
-    Probabilities are per-packet; ``reorder_depth`` is how many
-    subsequent packets a displaced one is held behind (the injector
-    draws 1..depth).  ``jitter_s`` is the half-width of a uniform
-    timestamp perturbation in seconds.
-    """
-
-    name: str
-    description: str = ""
-    drop: float = 0.0
-    duplicate: float = 0.0
-    reorder: float = 0.0
-    reorder_depth: int = 4
-    jitter_s: float = 0.0
-    fragment: float = 0.0
-
-    @property
-    def recoverable(self) -> bool:
-        """True when reassembly fully undoes this profile's damage."""
-        return self.drop == 0.0 and self.jitter_s == 0.0 and self.fragment == 0.0
-
-
-IMPAIRMENT_PROFILES: dict[str, ImpairmentProfile] = {
-    "clean": ImpairmentProfile("clean", description="pass-through (no impairment)"),
-    "reorder": ImpairmentProfile(
-        "reorder",
-        reorder=0.25,
-        reorder_depth=4,
-        description="25% of packets displaced up to 4 positions (recoverable)",
-    ),
-    "duplicate": ImpairmentProfile(
-        "duplicate",
-        duplicate=0.2,
-        description="20% of packets duplicated bit-exact (recoverable)",
-    ),
-    "reorder-dup": ImpairmentProfile(
-        "reorder-dup",
-        reorder=0.2,
-        reorder_depth=4,
-        duplicate=0.15,
-        description="reordering plus duplication combined (recoverable)",
-    ),
-    "lossy": ImpairmentProfile(
-        "lossy",
-        drop=0.03,
-        reorder=0.1,
-        reorder_depth=3,
-        description="3% loss with mild reordering (holes expected)",
-    ),
-    "jittery": ImpairmentProfile(
-        "jittery",
-        jitter_s=0.02,
-        description="±20 ms capture-clock jitter (timestamps move)",
-    ),
-    "fragmented": ImpairmentProfile(
-        "fragmented",
-        fragment=0.1,
-        description="10% of packets split into IP fragments (decoder-lossy)",
-    ),
-    "chaos": ImpairmentProfile(
-        "chaos",
-        drop=0.02,
-        duplicate=0.1,
-        reorder=0.2,
-        reorder_depth=6,
-        jitter_s=0.01,
-        fragment=0.05,
-        description="everything at once — the worst plausible last mile",
-    ),
-}
-
-
-def impairment_profile(name: str) -> ImpairmentProfile:
-    """Look up a named profile; raise with the known names otherwise."""
-    try:
-        return IMPAIRMENT_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(IMPAIRMENT_PROFILES))
-        raise ValueError(
-            f"unknown impairment profile {name!r} (known: {known})"
-        ) from None
 
 
 def trace_impair_seed(seed: int, trace_name: str) -> int:

@@ -49,7 +49,7 @@ from repro.pipeline.engine import (
     record_run_stats,
 )
 from repro.obs.metrics import REGISTRY
-from repro.services.generator import CorpusConfig
+from repro.services.config import CorpusConfig
 from repro.stream.incremental import EvictionPolicy, IncrementalTraceDecoder
 from repro.stream.sources import PacketSource, PacketTrace, TraceDocument
 

@@ -40,7 +40,7 @@ from repro.pipeline.replay import (
     load_parsed_trace,
     meta_from_name,
 )
-from repro.services.generator import CorpusConfig
+from repro.services.config import CorpusConfig
 
 Packet = tuple[float, "bytes | memoryview"]
 

@@ -6,16 +6,16 @@ covered by the integration tests.
 
 import pytest
 
-from repro.audit import (
-    LawAuditor,
-    audit_service,
+from repro.audit.differential import (
     compare_age_groups,
+    compare_columns,
     logged_out_flows,
     platform_differences,
-    policy_for,
 )
-from repro.audit.differential import compare_columns
 from repro.audit.findings import FindingKind, Severity
+from repro.audit.laws import LawAuditor
+from repro.audit.policy import policy_for
+from repro.audit.report import audit_service
 from repro.destinations.party import PartyLabel
 from repro.flows.dataflow import FlowObservation, FlowTable
 from repro.model import FlowCell, Platform, TraceColumn

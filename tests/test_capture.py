@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.capture import (
-    DevToolsCapture,
-    FridaPolicy,
-    PcapdroidCapture,
-    ProxymanCapture,
-    decrypt_mobile_artifact,
-)
+from repro.capture.decrypt import decrypt_mobile_artifact
+from repro.capture.devtools import DevToolsCapture
+from repro.capture.frida import FridaPolicy
+from repro.capture.pcapdroid import PcapdroidCapture
+from repro.capture.proxyman import ProxymanCapture
 from repro.model import AgeGroup, Platform, TraceKind
 from repro.net.har import har_from_json, har_to_json
 from repro.net.pcap import PcapFile
-from repro.services import CorpusConfig, TrafficGenerator
+from repro.services.config import CorpusConfig
+from repro.services.generator import TrafficGenerator
 from repro.services.catalog import service
 
 

@@ -6,18 +6,24 @@ accuracy ordering and rough magnitudes must match the paper.
 
 import pytest
 
-from repro.datatypes import (
-    BertFuzzyClassifier,
-    FewShotClassifier,
+from repro.datatypes.base import Classification
+from repro.datatypes.bertsim import BertFuzzyClassifier
+from repro.datatypes.fewshot import FewShotClassifier
+from repro.datatypes.gpt4 import (
+    GPT4_PROMPT,
+    TEMPERATURES,
     Gpt4Classifier,
-    MajorityVoteClassifier,
-    TfidfFuzzyClassifier,
-    ZeroShotClassifier,
+    temperature_sweep,
+)
+from repro.datatypes.majority import MajorityVoteClassifier
+from repro.datatypes.tfidf import TfidfFuzzyClassifier
+from repro.datatypes.validation import (
+    CONFIDENCE_THRESHOLDS,
+    draw_sample,
+    score,
     validate_classifier,
 )
-from repro.datatypes.base import Classification
-from repro.datatypes.gpt4 import GPT4_PROMPT, TEMPERATURES, temperature_sweep
-from repro.datatypes.validation import CONFIDENCE_THRESHOLDS, draw_sample, score
+from repro.datatypes.zeroshot import ZeroShotClassifier
 from repro.ontology.nodes import Level3
 
 

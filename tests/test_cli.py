@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import _SERVICES, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -57,11 +57,13 @@ class TestParser:
 
     def test_services_choices_derive_from_catalog(self):
         # The CLI must accept exactly the catalog's services — a
-        # hardcoded copy drifted once; this pins the derivation.
+        # hardcoded copy drifted once.  The parser and the catalog both
+        # read SERVICE_KEYS; this pins that they agree.
         from repro.services.catalog import SERVICES
+        from repro.services.config import SERVICE_KEYS
 
-        assert _SERVICES == tuple(spec.key for spec in SERVICES())
-        for key in _SERVICES:
+        assert SERVICE_KEYS == tuple(spec.key for spec in SERVICES())
+        for key in SERVICE_KEYS:
             args = build_parser().parse_args(["audit", "--services", key])
             assert args.services == [key]
 
@@ -655,9 +657,9 @@ class TestStreamCommand:
     def test_interrupt_flushes_final_snapshot(self, tmp_path, capsys, monkeypatch):
         base = self._generate(tmp_path, capsys)
         snaps = tmp_path / "snaps"
-        import repro.stream as stream_package
+        import repro.stream.sources as sources_module
 
-        original = stream_package.ArtifactStreamSource
+        original = sources_module.ArtifactStreamSource
 
         class InterruptingSource(original):
             def events(self):
@@ -666,7 +668,7 @@ class TestStreamCommand:
                 yield next(iterator)
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(stream_package, "ArtifactStreamSource", InterruptingSource)
+        monkeypatch.setattr(sources_module, "ArtifactStreamSource", InterruptingSource)
         code = main(
             [
                 "stream",

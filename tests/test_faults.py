@@ -22,6 +22,7 @@ Structure mirrors the feature's contract:
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -43,7 +44,6 @@ from repro.cli import main as repro_main
 from repro.datatypes.store import StoreError, store_path_for
 from repro.faults import FAULT_PROFILES, FaultPlan, FlakyStore, corrupt_artifact
 from repro.fsutil import atomic_write_text
-from repro.pipeline import engine
 from repro.pipeline.engine import (
     ProcessPoolShardExecutor,
     ShardCrash,
@@ -213,6 +213,15 @@ def _exit_by_spec(spec):
     return value * 2
 
 
+def _exit_or_sleep(spec):
+    """Like _exit_by_spec, but healthy tasks outlast the crash."""
+    kind, value = spec
+    if kind == "die":
+        os._exit(1)
+    time.sleep(0.3)
+    return value * 2
+
+
 class TestProcessPoolRecovery:
     def test_transient_worker_death_is_retried(self, tmp_path):
         # max_attempts=5: a pool break can poison a not-yet-started
@@ -243,6 +252,21 @@ class TestProcessPoolRecovery:
         # The flush hook never sees crash sentinels — only real results.
         assert sorted(delivered) == [1, 2]
 
+    def test_healthy_shards_never_inherit_a_siblings_crash(self):
+        # Both healthy tasks are still running when the poison kills
+        # its worker, so every generation of a shared pool would
+        # break under them and charge them an attempt.  Retried in
+        # pools of their own, they finish on their second attempt.
+        executor = ProcessPoolShardExecutor(
+            jobs=2, max_attempts=4, retry_backoff_s=0.01
+        )
+        results = executor.map_shards(
+            [("die", 0), ("ok", 2), ("ok", 3)], work=_exit_or_sleep
+        )
+        assert isinstance(results[0], ShardCrash)
+        assert results[0].attempts == 4
+        assert results[1:] == [4, 6]
+
     def test_pool_break_during_submission_is_retried(self, monkeypatch):
         # A worker can die while later shards are still being
         # submitted; submit() then raises BrokenProcessPool itself.
@@ -255,7 +279,9 @@ class TestProcessPoolRecovery:
                     raise BrokenProcessPool("a worker died during submission")
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
         executor = ProcessPoolShardExecutor(jobs=2, retry_backoff_s=0.01)
         tasks = [("ok", value) for value in range(5)]
         results = executor.map_shards(tasks, work=_exit_by_spec)

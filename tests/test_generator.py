@@ -9,7 +9,8 @@ import pytest
 
 from repro.datatypes.extract import extract_from_request
 from repro.model import AgeGroup, FlowCell, Platform, TraceColumn, TraceKind
-from repro.services import CorpusConfig, TrafficGenerator
+from repro.services.config import CorpusConfig
+from repro.services.generator import TrafficGenerator
 from repro.services.catalog import SERVICES, service
 from repro.services.generator import _LEVEL2_OF, ip_for
 from repro.services.profiles import profile_for

@@ -9,15 +9,13 @@ from hypothesis import given, settings, strategies as st
 from repro.net.packet import PacketError, parse_tcp_segment
 from repro.net.pcap import PcapFile, PcapPacket
 from repro.net.tcp import FlowId, TcpReassembler, segment_request
-from repro.services.generator import CorpusConfig
-from repro.stream.impair import (
+from repro.services.config import (
     IMPAIRMENT_PROFILES,
-    ImpairmentInjector,
+    CorpusConfig,
     ImpairmentProfile,
-    impair_pcap,
     impairment_profile,
-    trace_impair_seed,
 )
+from repro.stream.impair import ImpairmentInjector, impair_pcap, trace_impair_seed
 
 FLOW_A = FlowId(client_ip="10.0.0.1", client_port=40000, server_ip="34.0.0.1", server_port=443)
 FLOW_B = FlowId(client_ip="10.0.0.1", client_port=40001, server_ip="34.0.0.2", server_port=443)

@@ -23,14 +23,20 @@ from textwrap import dedent
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import all_rules, doc_rules, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.determinism import (
     UnseededRandomRule,
     UnsortedIterationRule,
     WallClockRule,
 )
-from repro.lint.engine import Finding, load_baseline, write_baseline
+from repro.lint.engine import (
+    Finding,
+    all_rules,
+    doc_rules,
+    load_baseline,
+    run_lint,
+    write_baseline,
+)
 from repro.lint.executor import (
     AtomicWriteRule,
     BroadExceptRule,
@@ -636,8 +642,7 @@ class TestSyncRules:
         assert {f.rule for f in result.findings} == {"S-PROFILE-DOC"}
         # every named profile must be reported missing
         from repro.faults import FAULT_PROFILES
-        from repro.services.generator import LOAD_PROFILES
-        from repro.stream.impair import IMPAIRMENT_PROFILES
+        from repro.services.config import IMPAIRMENT_PROFILES, LOAD_PROFILES
 
         expected = (
             len(LOAD_PROFILES)

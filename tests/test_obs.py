@@ -41,7 +41,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import SpanRecorder
 from repro.reporting.export import result_to_json
-from repro.stream import LiveGeneratorSource, StreamAudit
+from repro.stream.session import StreamAudit
+from repro.stream.sources import LiveGeneratorSource
 
 CONFIG = CorpusConfig(scale=0.004, profile="light", seed=11, services=("youtube",))
 

@@ -40,7 +40,8 @@ from repro.pipeline.corpus import parsed_trace_from_mobile
 from repro.pipeline.engine import generate_corpus_artifacts
 from repro.pipeline.replay import ReplayCorpus
 from repro.reporting.export import result_to_json
-from repro.stream.impair import impair_pcap, impairment_profile, trace_impair_seed
+from repro.services.config import impairment_profile
+from repro.stream.impair import impair_pcap, trace_impair_seed
 
 GOLDEN_CONFIG = CorpusConfig(
     seed=11, scale=0.002, profile="light", services=("tiktok", "youtube")

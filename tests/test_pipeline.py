@@ -8,7 +8,7 @@ from repro.net.har import read_har
 from repro.net.pcap import PcapFile
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
 from repro.pipeline.dataset import DatasetSummary
-from repro.services import CorpusConfig
+from repro.services.config import CorpusConfig
 
 
 @pytest.fixture(scope="module")

@@ -11,16 +11,15 @@ from repro.flows.dataflow import FlowObservation, FlowTable
 from repro.linkability.analysis import linkability_matrix
 from repro.model import Platform, TraceColumn
 from repro.ontology.nodes import Level3
-from repro.reporting import (
-    render_fig3,
-    render_fig4,
+from repro.reporting.export import FLOW_FIELDS, flows_to_csv
+from repro.reporting.figures import render_fig3, render_fig4
+from repro.reporting.tables import (
+    ontology_statistics,
     render_table,
     render_table2,
     render_table4,
     render_table5,
 )
-from repro.reporting.export import FLOW_FIELDS, flows_to_csv
-from repro.reporting.tables import ontology_statistics
 
 
 def small_table() -> FlowTable:

@@ -10,7 +10,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capture import PcapdroidCapture, decrypt_mobile_artifact
+from repro.capture.decrypt import decrypt_mobile_artifact
+from repro.capture.pcapdroid import PcapdroidCapture
 from repro.datatypes.extract import extract_from_request
 from repro.model import AgeGroup, Platform, TraceKind
 from repro.net.har import HarError, har_from_json
@@ -18,7 +19,8 @@ from repro.net.http import Header, HttpRequest
 from repro.net.packet import Ipv6Header, PacketError, ipv6_to_bytes, ipv6_to_str
 from repro.net.pcap import PcapFile, PcapPacket
 from repro.net.url import parse_url
-from repro.services import CorpusConfig, TrafficGenerator
+from repro.services.config import CorpusConfig
+from repro.services.generator import TrafficGenerator
 from repro.services.catalog import service
 
 

@@ -27,20 +27,18 @@ from repro.net.tls import KeyLog
 from repro.pipeline.engine import generate_corpus_artifacts
 from repro.pipeline.replay import ReplayCorpus
 from repro.reporting.export import result_to_json
+from repro.services.config import impairment_profile
 from repro.services.generator import TrafficGenerator
-from repro.stream import (
+from repro.stream.impair import impair_pcap, trace_impair_seed
+from repro.stream.incremental import EvictionPolicy, IncrementalTraceDecoder
+from repro.stream.session import StreamAudit, StreamError, snapshot_summary
+from repro.stream.sources import (
     ArtifactStreamSource,
-    EvictionPolicy,
     FollowPcapSource,
-    IncrementalTraceDecoder,
     KeylogProvider,
     LiveGeneratorSource,
     SingleCaptureSource,
-    StreamAudit,
-    StreamError,
-    snapshot_summary,
 )
-from repro.stream.impair import impair_pcap, impairment_profile, trace_impair_seed
 
 CONFIG = CorpusConfig(scale=0.006, profile="light", seed=7, services=("tiktok",))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.lint import doc_rules, run_lint  # noqa: E402
+from repro.lint.engine import doc_rules, run_lint  # noqa: E402
 
 
 def main() -> int:
