@@ -82,37 +82,16 @@ class HttpRequest:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         return head + self.body
 
-    @classmethod
-    def from_bytes(cls, data: bytes, scheme: str = "https", timestamp: float = 0.0) -> "HttpRequest":
-        """Parse an on-the-wire request back into the model.
 
-        The scheme is not on the wire; callers supply it from transport
-        context (port 443 ⇒ https).
-        """
-        head, sep, body = data.partition(b"\r\n\r\n")
-        if not sep:
-            raise HttpParseError("missing header/body separator")
-        method, target, version, headers, host, length_text = _parse_head(head)
-        url = parse_url(f"{scheme}://{host}{target}")
-        if length_text is not None:
-            body = body[: int(length_text)]
-        return cls(
-            method=method,
-            url=url,
-            headers=headers,
-            body=body,
-            http_version=version,
-            timestamp=timestamp,
-        )
-
-
-def _parse_head(head: bytes) -> tuple[str, str, str, list[Header], str, str | None]:
+def _parse_head(head: bytes) -> tuple[str, str, str, list[Header], str, int]:
     """Parse a request head (no body, no trailing separator).
 
-    Returns ``(method, target, version, headers, host,
-    content_length_text)`` so stream walking parses each head exactly
-    once — the framing fields fall out of the same pass that builds
-    the header list.
+    Returns ``(method, target, version, headers, host, body_length)``
+    so stream walking parses each head exactly once — the framing
+    fields fall out of the same pass that builds the header list.  The
+    first Content-Length frames the body (0 when absent); one that is
+    not a non-negative decimal integer makes the head malformed, like
+    any other unparseable field.
     """
     lines = head.decode("latin-1").split("\r\n")
     try:
@@ -121,7 +100,7 @@ def _parse_head(head: bytes) -> tuple[str, str, str, list[Header], str, str | No
         raise HttpParseError(f"bad request line: {lines[0]!r}") from exc
     headers: list[Header] = []
     host = ""
-    length_text: str | None = None
+    body_length: int | None = None
     for line in lines[1:]:
         name, colon, value = line.partition(":")
         if not colon:
@@ -131,11 +110,13 @@ def _parse_head(head: bytes) -> tuple[str, str, str, list[Header], str, str | No
         lowered = header.name.lower()
         if lowered == "host":
             host = header.value  # last Host wins, as before
-        if length_text is None and lowered == "content-length":
-            length_text = header.value  # first Content-Length frames
+        if body_length is None and lowered == "content-length":
+            if not header.value.isdecimal():
+                raise HttpParseError(f"bad Content-Length: {header.value!r}")
+            body_length = int(header.value)  # first Content-Length frames
     if not host:
         raise HttpParseError("request missing Host header")
-    return method, target, version, headers, host, length_text
+    return method, target, version, headers, host, body_length or 0
 
 
 def scan_request_stream(
@@ -143,13 +124,16 @@ def scan_request_stream(
 ) -> tuple[list[HttpRequest], int, bool]:
     """Walk as many complete requests as ``data`` currently holds.
 
-    The incremental-feed core shared by :func:`parse_request_stream`
-    and the streaming decoder: returns ``(requests, consumed,
-    broken)`` where ``consumed`` is how many bytes of complete
-    requests were parsed (an incremental caller drops that prefix and
-    retries when more bytes arrive) and ``broken`` means a head failed
-    to parse — the batch walker stops for good at that point, so
-    incremental callers must stop emitting too.  Requests carry
+    Connection reuse puts several requests back to back on one TCP
+    flow; this walks a client→server stream using Content-Length
+    framing, parsing each head once and slicing bodies straight out of
+    the stream.  Returns ``(requests, consumed, broken)`` where
+    ``consumed`` is how many bytes of complete requests were parsed (an
+    incremental caller drops that prefix and retries when more bytes
+    arrive; a trailing partial request of a finished flow is dropped,
+    as Wireshark-based pipelines drop incomplete flows) and ``broken``
+    means a head failed to parse — the walk stops for good at that
+    point, so callers must stop emitting too.  Requests carry
     ``timestamp=0.0``; callers stamp them.
     """
     requests: list[HttpRequest] = []
@@ -160,12 +144,11 @@ def scan_request_stream(
         if separator == -1:
             break
         try:
-            method, target, version, headers, host, length_text = _parse_head(
+            method, target, version, headers, host, body_length = _parse_head(
                 data[position:separator]
             )
         except HttpParseError:
             return requests, position, True
-        body_length = int(length_text) if length_text else 0
         end = separator + 4 + body_length
         if end > stream_length:
             break  # truncated trailing request
@@ -198,27 +181,10 @@ def pending_request_need(data) -> int:
     if separator == -1:
         return len(data) + 1  # no complete head yet
     try:
-        *_, length_text = _parse_head(bytes(data[:separator]))
+        *_, body_length = _parse_head(bytes(data[:separator]))
     except HttpParseError:
         return len(data)
-    return separator + 4 + (int(length_text) if length_text else 0)
-
-
-def parse_request_stream(
-    data: bytes, scheme: str = "https", timestamp: float = 0.0
-) -> list[HttpRequest]:
-    """Parse a pipelined client→server byte stream into requests.
-
-    Connection reuse puts several requests back to back on one TCP
-    flow; this walks the stream using Content-Length framing, parsing
-    each head once and slicing bodies straight out of the stream.  A
-    trailing partial request (truncated capture) is dropped, matching
-    how Wireshark-based pipelines behave on incomplete flows.
-    """
-    requests, _, _ = scan_request_stream(data, scheme=scheme)
-    for request in requests:
-        request.timestamp = timestamp
-    return requests
+    return separator + 4 + body_length
 
 
 @dataclass

@@ -6,15 +6,16 @@ implement genuine wire formats, including the IPv4 header checksum and
 the TCP pseudo-header checksum, so the PCAP round-trip exercises a real
 parser rather than a shortcut.
 
-The decode path is zero-copy: every ``from_bytes`` accepts any
-buffer-protocol object (``bytes``, ``bytearray``, ``memoryview``) and
-returns *views* into it for payload slices, so a full PCAP decode
-copies each payload byte exactly once (into the TCP reassembly
-buffer).  All struct formats are precompiled at module level, the
-ones'-complement checksum keeps a per-length :class:`struct.Struct`
-table, and the MAC/IPv4 string codecs are memoized — addresses repeat
-constantly inside a capture, so rendering each distinct one once is
-enough.
+Generation writes packets through the header dataclasses and
+:class:`Frame`; decoding reads them through one parser,
+:func:`parse_tcp_segment`, which goes from link-layer bytes straight
+to a :class:`TcpSegment`.  The decode path is zero-copy: it accepts
+any buffer-protocol object (``bytes``, ``bytearray``, ``memoryview``)
+and the payload is a *view* into it, so a full PCAP decode copies each
+payload byte exactly once (into the TCP reassembly buffer).  All
+struct formats are precompiled at module level, and the MAC/IPv4
+string codecs are memoized — addresses repeat constantly inside a
+capture, so rendering each distinct one once is enough.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ _IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
 _IPV6_FIXED = struct.Struct("!IHBB")
 _IPV6_GROUP = struct.Struct("!H")
 _TCP_HEADER = struct.Struct("!HHIIBBHHH")
-_TCP_PREFIX = struct.Struct("!HHII")
 # Ports, seq, ack, data-offset byte, flags: what a segment needs.
 _TCP_SEGMENT = struct.Struct("!HHIIBB")
 _TCP_PSEUDO = struct.Struct("!BBH")
@@ -100,24 +100,11 @@ class EthernetHeader:
     src_mac: str = "aa:bb:cc:00:00:02"
     ethertype: int = ETHERTYPE_IPV4
 
-    SIZE = 14
-
     def to_bytes(self) -> bytes:
         return (
             mac_to_bytes(self.dst_mac)
             + mac_to_bytes(self.src_mac)
             + _U16.pack(self.ethertype)
-        )
-
-    @classmethod
-    def from_bytes(cls, data) -> tuple["EthernetHeader", "memoryview | bytes"]:
-        if len(data) < cls.SIZE:
-            raise PacketError("truncated Ethernet header")
-        dst, src = bytes(data[:6]), bytes(data[6:12])
-        (ethertype,) = _U16.unpack(data[12:14])
-        return (
-            cls(dst_mac=mac_to_str(dst), src_mac=mac_to_str(src), ethertype=ethertype),
-            data[cls.SIZE :],
         )
 
 
@@ -148,35 +135,6 @@ class Ipv4Header:
         )
         checksum = internet_checksum(header)
         return header[:10] + _U16.pack(checksum) + header[12:]
-
-    @classmethod
-    def from_bytes(cls, data) -> tuple["Ipv4Header", "memoryview | bytes"]:
-        if len(data) < cls.SIZE:
-            raise PacketError("truncated IPv4 header")
-        version_ihl = data[0]
-        if version_ihl >> 4 != 4:
-            raise PacketError("not an IPv4 packet")
-        ihl = (version_ihl & 0x0F) * 4
-        if ihl < cls.SIZE or len(data) < ihl:
-            raise PacketError("bad IPv4 IHL")
-        (total_length,) = _U16.unpack(data[2:4])
-        (identification,) = _U16.unpack(data[4:6])
-        (flags_fragment,) = _U16.unpack(data[6:8])
-        if flags_fragment & 0x3FFF:  # MF set or nonzero fragment offset
-            raise PacketError("fragmented IPv4 packet")
-        ttl = data[8]
-        protocol = data[9]
-        if internet_checksum(data[:ihl]) != 0:
-            raise PacketError("IPv4 header checksum mismatch")
-        header = cls(
-            src=ipv4_to_str(bytes(data[12:16])),
-            dst=ipv4_to_str(bytes(data[16:20])),
-            protocol=protocol,
-            identification=identification,
-            ttl=ttl,
-            total_length=total_length,
-        )
-        return header, data[ihl:total_length]
 
 
 def ipv6_to_bytes(address: str) -> bytes:
@@ -289,33 +247,15 @@ class TcpHeader:
         checksum = internet_checksum(pseudo + header + payload)
         return header[:16] + _U16.pack(checksum) + header[18:] + payload
 
-    @classmethod
-    def from_bytes(cls, data) -> tuple["TcpHeader", "memoryview | bytes"]:
-        if len(data) < cls.SIZE:
-            raise PacketError("truncated TCP header")
-        src_port, dst_port, seq, ack = _TCP_PREFIX.unpack(data[:12])
-        offset = (data[12] >> 4) * 4
-        if offset < cls.SIZE or len(data) < offset:
-            raise PacketError("bad TCP data offset")
-        flags = data[13]
-        (window,) = _U16.unpack(data[14:16])
-        header = cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=window,
-        )
-        return header, data[offset:]
-
 
 class TcpSegment(NamedTuple):
     """The decode path's view of one TCP packet — just the fields flow
     reassembly consumes, no per-layer header objects.
 
-    ``payload`` may be a zero-copy view into the capture buffer (same
-    lifetime rules as :class:`Frame.payload`).
+    ``payload`` may be a zero-copy view into the capture buffer; the
+    view stays valid only while the backing buffer does (for
+    mmap-backed reads, until the :class:`repro.net.pcap.PcapReader` is
+    closed).  Consumers that outlive the buffer must take ``bytes()``.
     """
 
     timestamp: float
@@ -331,14 +271,13 @@ class TcpSegment(NamedTuple):
 def parse_tcp_segment(data, timestamp: float = 0.0) -> TcpSegment:
     """Parse Ethernet/IPv4/TCP layers straight into a :class:`TcpSegment`.
 
-    Validates exactly what :meth:`Frame.from_bytes` validates — same
-    ethertype/version/IHL/checksum/offset rejections, same
-    :class:`PacketError` — but skips building the three header
-    dataclasses, which dominates per-packet decode cost: each header is
-    one ``unpack_from`` at its offset into ``data``, and the payload is
-    the only slice taken.  The slower :class:`Frame` API remains the
-    general-purpose decoder (and the eager/streaming parity tests hold
-    the two to identical results).
+    The one IPv4 packet decoder, for batch and streaming decode alike.
+    Raises :class:`PacketError` on a truncated Ethernet, IPv4 or TCP
+    header, a non-IPv4 ethertype, a bad IP version or IHL, a non-TCP
+    protocol, a fragment, an IPv4 header checksum mismatch and a bad
+    TCP data offset.  No header dataclass is built — that dominated
+    per-packet cost: each header is one ``unpack_from`` at its offset
+    into ``data``, and the payload is the only slice taken.
     """
     # Ethernet II
     size = len(data)
@@ -392,13 +331,9 @@ def parse_tcp_segment(data, timestamp: float = 0.0) -> TcpSegment:
 
 @dataclass
 class Frame:
-    """One captured packet, decoded layer by layer.
-
-    When decoded from a buffer, ``payload`` is a zero-copy view into
-    it; the view stays valid only while the backing buffer does (for
-    mmap-backed reads, until the :class:`repro.net.pcap.PcapReader` is
-    closed).  Consumers that outlive the buffer must take ``bytes()``.
-    """
+    """One packet to capture, built layer by layer; :meth:`to_bytes`
+    writes it on the wire.  Decoding goes through
+    :func:`parse_tcp_segment` instead."""
 
     timestamp: float
     eth: EthernetHeader
@@ -410,19 +345,3 @@ class Frame:
         tcp_bytes = self.tcp.to_bytes(bytes(self.payload), self.ip.src, self.ip.dst)
         ip_bytes = self.ip.to_bytes(len(tcp_bytes)) + tcp_bytes
         return self.eth.to_bytes() + ip_bytes
-
-    @classmethod
-    def from_bytes(cls, data, timestamp: float = 0.0) -> "Frame":
-        eth, rest = EthernetHeader.from_bytes(data)
-        if eth.ethertype != ETHERTYPE_IPV4:
-            raise PacketError(f"unsupported ethertype 0x{eth.ethertype:04x}")
-        ip, rest = Ipv4Header.from_bytes(rest)
-        if ip.protocol != IPPROTO_TCP:
-            raise PacketError(f"unsupported IP protocol {ip.protocol}")
-        tcp, payload = TcpHeader.from_bytes(rest)
-        return cls(timestamp=timestamp, eth=eth, ip=ip, tcp=tcp, payload=payload)
-
-    @property
-    def flow_key(self) -> tuple[str, int, str, int]:
-        """(src_ip, src_port, dst_ip, dst_port) — direction-sensitive."""
-        return (self.ip.src, self.tcp.src_port, self.ip.dst, self.tcp.dst_port)

@@ -178,20 +178,22 @@ class TcpReassembler:
     rather than raising — real traces are messy and the paper includes
     undecryptable/partial traffic in its counts.
 
-    The reassembler is usable two ways, with byte-identical results:
+    The reassembler is the packet walk's half of decoding, and it is
+    usable two ways, with byte-identical results:
 
     * **batch** — feed everything, then :meth:`flows` assembles each
-      stream once (the original API, still what the batch decode path
-      uses);
+      stream once; the batch decode path hands each whole stream to
+      the flow decoder (``repro.capture.decrypt.FlowDecoder``);
     * **incremental** — after each :meth:`add_segment`, the newly
       contiguous prefix of the segment's flow is available from
       :meth:`drain_ready` (and is *released* from the reassembler, so
       memory holds only out-of-order segments and undrained bytes);
       :meth:`pop_flow` finalizes one flow — remaining segments are
       walked with exactly the batch trimming/hole rules — and forgets
-      it.  :meth:`buffered_bytes`, :meth:`idle_flows` and
-      :meth:`lru_flow` support the streaming session's idle-timeout +
-      byte-budget eviction.
+      it.  The streaming decoder feeds each drained chunk to the same
+      flow decoder; :meth:`buffered_bytes`, :meth:`idle_flows` and
+      :meth:`lru_flow` support its idle-timeout + byte-budget
+      eviction.
 
     The two paths agree because compaction applies the same
     first-copy-wins / overlap-trim rules the batch walk applies, in
@@ -204,23 +206,8 @@ class TcpReassembler:
         self._buffered = 0  # payload bytes held across all flows
         self._tick = 0  # arrival counter for LRU bookkeeping
 
-    def add_frame(self, frame: Frame) -> None:
-        """Feed one fully decoded :class:`Frame` (general-purpose API)."""
-        self.add_segment(
-            TcpSegment(
-                timestamp=frame.timestamp,
-                src_ip=frame.ip.src,
-                src_port=frame.tcp.src_port,
-                dst_ip=frame.ip.dst,
-                dst_port=frame.tcp.dst_port,
-                seq=frame.tcp.seq,
-                flags=frame.tcp.flags,
-                payload=frame.payload,
-            )
-        )
-
     def add_segment(self, segment: TcpSegment) -> None:
-        """Feed one decode-path :class:`TcpSegment` (the hot path)."""
+        """Feed one :class:`TcpSegment` from :func:`parse_tcp_segment`."""
         _SEGMENTS.inc()
         key = (segment.src_ip, segment.src_port, segment.dst_ip, segment.dst_port)
         state = self._flows.get(key)  # type: ignore[call-overload]

@@ -1,4 +1,5 @@
-"""TLS record framing, NSS key-log files, and keylog-based decryption.
+"""TLS record framing, the pseudo-ClientHello, NSS key-log files, and
+keylog-based decryption.
 
 The paper decrypts mobile traffic by installing PCAPdroid's certificate,
 saving a TLS key log, and embedding the keys into the PCAP with
@@ -6,7 +7,8 @@ saving a TLS key log, and embedding the keys into the PCAP with
 the *workflow* faithfully with a simulated cipher:
 
 * application data is wrapped in TLS 1.3-shaped records
-  (``type=23, version=0x0303, length``);
+  (``type=23, version=0x0303, length``), behind a pseudo-ClientHello
+  carrying the client random and the SNI;
 * each session has a 32-byte ``CLIENT_TRAFFIC_SECRET`` recorded in NSS
   key-log format (the exact format PCAPdroid emits);
 * the record payload is encrypted with a keystream derived from the
@@ -128,37 +130,87 @@ def encrypt_stream(plaintext: bytes, session: TlsSession) -> bytes:
     return bytes(out)
 
 
-def iter_records(stream):
-    """Yield (record_type, body) for each TLS record in a byte stream.
+# The pseudo-ClientHello prefixed to every encrypted flow: magic, the
+# 32-byte client random, then a length-prefixed SNI.  It carries
+# exactly what a passive observer of real TLS sees in the clear: the
+# client random (for keylog lookup) and the SNI hostname (so
+# destinations of *undecryptable* flows are still attributable — the
+# paper includes encrypted traffic in its domain counts, §3.1.1).
+_HELLO_MAGIC = b"\x16\x03"
+_HELLO_FIXED = 36  # magic (2), client random (32), SNI length (2)
 
-    Accepts any bytes-like object; with a ``memoryview`` input, each
-    ``body`` is a zero-copy view into it.
+
+def wrap_with_hello(stream: bytes, session: TlsSession, sni: str) -> bytes:
+    """Prefix the pseudo-ClientHello (magic + random + SNI)."""
+    sni_bytes = sni.encode("idna") if sni else b""
+    if len(sni_bytes) > 0xFFFF:
+        raise TlsError("SNI too long")
+    return (
+        _HELLO_MAGIC
+        + session.client_random
+        + _U16.pack(len(sni_bytes))
+        + sni_bytes
+        + stream
+    )
+
+
+# What the first bytes of a client→server stream say it carries.
+STREAM_HELLO = "hello"  # a pseudo-ClientHello, then records
+STREAM_RECORDS = "records"  # application-data records with no hello
+STREAM_PLAIN = "plain"  # not TLS: plaintext HTTP straight off the wire
+
+
+def sniff_stream(head) -> str | None:
+    """Route a client→server stream by its first bytes.
+
+    Seeing the hello magic takes two bytes and a bare application-data
+    record header five; with fewer, the answer is ``None``: wait for
+    more.
     """
-    position = 0
-    end = len(stream)
-    while position < end:
-        if position + 5 > end:
-            raise TlsError("truncated TLS record header")
-        record_type, version, length = _RECORD_HEADER.unpack(
-            stream[position : position + 5]
-        )
-        if version != RECORD_VERSION:
-            raise TlsError(f"unexpected TLS version 0x{version:04x}")
-        if position + 5 + length > end:
-            raise TlsError("truncated TLS record body")
-        yield record_type, stream[position + 5 : position + 5 + length]
-        position += 5 + length
+    if bytes(head[:2]) == _HELLO_MAGIC:
+        return STREAM_HELLO
+    if len(head) < 5:
+        return None
+    (version,) = _U16.unpack_from(head, 1)
+    if head[0] == RECORD_TYPE_APPDATA and version == RECORD_VERSION:
+        return STREAM_RECORDS
+    return STREAM_PLAIN
+
+
+def scan_hello(stream) -> tuple[bytes, str, int] | None:
+    """The pseudo-ClientHello at the head of ``stream``.
+
+    Returns ``(client_random, sni, consumed)``, or ``None`` while the
+    hello is still incomplete — the same incremental contract as
+    :func:`scan_records`.  A stream without the hello magic, or an SNI
+    that is not valid IDNA, raises :class:`TlsError`.
+    """
+    if len(stream) < 2:
+        return None
+    if bytes(stream[:2]) != _HELLO_MAGIC:
+        raise TlsError("missing ClientHello magic")
+    if len(stream) < _HELLO_FIXED:
+        return None
+    (sni_length,) = _U16.unpack_from(stream, 34)
+    end = _HELLO_FIXED + sni_length
+    if len(stream) < end:
+        return None
+    try:
+        sni = bytes(stream[_HELLO_FIXED:end]).decode("idna") if sni_length else ""
+    except UnicodeError as exc:
+        raise TlsError("ClientHello SNI is not valid IDNA") from exc
+    return bytes(stream[2:34]), sni, end
 
 
 def scan_records(stream) -> tuple[list[tuple[int, "bytes | memoryview"]], int]:
     """Complete TLS records at the head of ``stream``, plus bytes consumed.
 
-    The incremental-feed sibling of :func:`iter_records`: instead of
-    raising on a truncated trailing record, it stops cleanly before it
-    and reports how far it got, so a streaming caller can drop the
-    consumed prefix and retry once more bytes arrive.  A malformed
-    record header (wrong version) still raises :class:`TlsError` — that
-    is corruption, not an incomplete feed.
+    A truncated trailing record is not an error: the scan stops cleanly
+    before it and reports how far it got, so an incremental caller can
+    drop the consumed prefix and retry once more bytes arrive.  A
+    malformed record header (wrong version) raises :class:`TlsError` —
+    that is corruption, not an incomplete feed.  With a ``memoryview``
+    input, each record body is a zero-copy view into it.
     """
     records: list[tuple[int, "bytes | memoryview"]] = []
     position = 0
@@ -179,10 +231,9 @@ def scan_records(stream) -> tuple[list[tuple[int, "bytes | memoryview"]], int]:
 def decrypt_record(body, session: TlsSession, offset: int) -> bytes:
     """Decrypt one application-data record at its stream ``offset``.
 
-    ``offset`` is the record's index among *all* records of the flow
-    (the counter :func:`decrypt_stream` derives from ``enumerate``), so
-    incremental per-record decryption reproduces the batch keystream
-    exactly.
+    ``offset`` is the record's index among *all* records of the flow,
+    handshake records included — the counter :func:`encrypt_stream`
+    advanced once per record it wrote.
     """
     keystream = _keystream(
         session.secret, session.client_random + _U64.pack(offset), len(body)
@@ -190,35 +241,6 @@ def decrypt_record(body, session: TlsSession, offset: int) -> bytes:
     _RECORDS.inc()
     _PLAINTEXT_BYTES.inc(len(body))
     return _xor(body, keystream)
-
-
-def decrypt_stream(stream, session: TlsSession) -> bytes:
-    """Recover plaintext from records given the session's secret.
-
-    Plaintext accumulates into one ``bytearray`` — O(n) in the stream
-    length, however many records it framed.
-    """
-    out = bytearray()
-    for offset, (record_type, body) in enumerate(iter_records(stream)):
-        if record_type != RECORD_TYPE_APPDATA:
-            continue
-        out += decrypt_record(body, session, offset)
-    return bytes(out)
-
-
-def looks_like_tls(stream) -> bool:
-    """Cheap sniff used by the post-processor to route flows.
-
-    Matches either a pseudo-ClientHello (``16 03`` handshake magic) or
-    a bare application-data record stream.
-    """
-    if len(stream) >= 2 and bytes(stream[:2]) == b"\x16\x03":
-        return True
-    return (
-        len(stream) >= 5
-        and stream[0] == RECORD_TYPE_APPDATA
-        and _U16.unpack(stream[1:3])[0] == RECORD_VERSION
-    )
 
 
 _KEYLOG_LABEL = "CLIENT_TRAFFIC_SECRET_0"
@@ -267,47 +289,3 @@ class KeyLog:
     @classmethod
     def read(cls, path: str | Path) -> "KeyLog":
         return cls.from_text(Path(path).read_text(encoding="ascii"))
-
-
-@dataclass(frozen=True)
-class ClientHello:
-    """The pseudo-ClientHello prefixed to every encrypted flow.
-
-    Carries exactly what a passive observer of real TLS sees in the
-    clear: the client random (for keylog lookup) and the SNI hostname
-    (so destinations of *undecryptable* flows are still attributable —
-    the paper includes encrypted traffic in its domain counts, §3.1.1).
-    """
-
-    client_random: bytes
-    sni: str
-
-
-def wrap_with_hello(stream: bytes, session: TlsSession, sni: str) -> bytes:
-    """Prefix the pseudo-ClientHello (magic + random + SNI)."""
-    sni_bytes = sni.encode("idna") if sni else b""
-    if len(sni_bytes) > 0xFFFF:
-        raise TlsError("SNI too long")
-    return (
-        b"\x16\x03"
-        + session.client_random
-        + _U16.pack(len(sni_bytes))
-        + sni_bytes
-        + stream
-    )
-
-
-def unwrap_hello(stream) -> tuple[ClientHello | None, "bytes | memoryview"]:
-    """Split off the pseudo-ClientHello; returns (hello, records).
-
-    Accepts any bytes-like stream; the returned record stream is a
-    zero-copy slice of it.
-    """
-    if len(stream) < 36 or bytes(stream[:2]) != b"\x16\x03":
-        return None, stream
-    client_random = bytes(stream[2:34])
-    (sni_length,) = _U16.unpack(stream[34:36])
-    if len(stream) < 36 + sni_length:
-        raise TlsError("truncated ClientHello SNI")
-    sni = bytes(stream[36 : 36 + sni_length]).decode("idna") if sni_length else ""
-    return ClientHello(client_random=client_random, sni=sni), stream[36 + sni_length :]

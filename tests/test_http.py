@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.net.http import (
     Header,
-    HttpParseError,
     HttpRequest,
     HttpResponse,
-    parse_request_stream,
+    pending_request_need,
+    scan_request_stream,
 )
 from repro.net.url import parse_url
 
@@ -22,6 +22,11 @@ def make_request(body: bytes = b"", **kwargs) -> HttpRequest:
     )
     defaults.update(kwargs)
     return HttpRequest(**defaults)
+
+
+def parse_requests(data: bytes, scheme: str = "https") -> list[HttpRequest]:
+    requests, _, _ = scan_request_stream(data, scheme=scheme)
+    return requests
 
 
 class TestHeaders:
@@ -58,7 +63,7 @@ class TestCookies:
 class TestSerialization:
     def test_round_trip(self):
         original = make_request(body=b'{"a": 1}')
-        parsed = HttpRequest.from_bytes(original.to_bytes())
+        (parsed,) = parse_requests(original.to_bytes())
         assert parsed.method == "POST"
         assert str(parsed.url) == str(original.url)
         assert parsed.body == original.body
@@ -74,7 +79,7 @@ class TestSerialization:
 
     def test_scheme_comes_from_caller(self):
         wire = make_request().to_bytes()
-        assert HttpRequest.from_bytes(wire, scheme="http").url.scheme == "http"
+        assert parse_requests(wire, scheme="http")[0].url.scheme == "http"
 
     @pytest.mark.parametrize(
         "data",
@@ -83,23 +88,35 @@ class TestSerialization:
             b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n",  # bad header
             b"GET / HTTP/1.1\r\nAccept: */*\r\n\r\n",  # missing Host
             b"garbage",  # no separator
+            # Content-Length must be a non-negative decimal integer.
+            b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: -56\r\n\r\n",
+            b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: ten\r\n\r\n",
+            b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: +4\r\n\r\nbody",
+            b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length:\r\n\r\n",
         ],
     )
     def test_parse_errors(self, data):
-        with pytest.raises(HttpParseError):
-            HttpRequest.from_bytes(data)
+        # A complete but malformed head breaks the walk for good; a head
+        # still missing its separator is incomplete and waits.
+        requests, consumed, broken = scan_request_stream(data)
+        assert requests == []
+        assert consumed == 0
+        assert broken == (b"\r\n\r\n" in data)
+        assert pending_request_need(data) == (
+            len(data) if broken else len(data) + 1
+        )
 
     @given(st.binary(max_size=200))
     def test_body_round_trip_property(self, body):
         original = make_request(body=body)
-        parsed = HttpRequest.from_bytes(original.to_bytes())
+        (parsed,) = parse_requests(original.to_bytes())
         assert parsed.body == body
 
 
 class TestRequestStream:
     def test_single_request(self):
         stream = make_request(body=b"hello").to_bytes()
-        requests = parse_request_stream(stream)
+        requests = parse_requests(stream)
         assert len(requests) == 1
         assert requests[0].body == b"hello"
 
@@ -110,27 +127,27 @@ class TestRequestStream:
         )
         third = make_request(body=b"third-body")
         stream = first.to_bytes() + second.to_bytes() + third.to_bytes()
-        requests = parse_request_stream(stream)
+        requests = parse_requests(stream)
         assert [r.method for r in requests] == ["POST", "GET", "POST"]
         assert requests[2].body == b"third-body"
 
     def test_truncated_trailing_request_dropped(self):
         full = make_request(body=b"complete").to_bytes()
         partial = make_request(body=b"this-will-be-cut").to_bytes()[:-5]
-        requests = parse_request_stream(full + partial)
+        requests = parse_requests(full + partial)
         assert len(requests) == 1
         assert requests[0].body == b"complete"
 
     def test_garbage_stream_yields_nothing(self):
-        assert parse_request_stream(b"\x00\x01\x02 not http") == []
+        assert parse_requests(b"\x00\x01\x02 not http") == []
 
     def test_empty_stream(self):
-        assert parse_request_stream(b"") == []
+        assert parse_requests(b"") == []
 
     @given(st.lists(st.binary(max_size=64), min_size=1, max_size=5))
     def test_n_requests_round_trip(self, bodies):
         stream = b"".join(make_request(body=body).to_bytes() for body in bodies)
-        requests = parse_request_stream(stream)
+        requests = parse_requests(stream)
         assert [r.body for r in requests] == bodies
 
 

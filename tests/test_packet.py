@@ -16,6 +16,7 @@ from repro.net.packet import (
     ipv4_to_str,
     mac_to_bytes,
     mac_to_str,
+    parse_tcp_segment,
 )
 
 
@@ -56,76 +57,80 @@ class TestChecksum:
         assert internet_checksum(data + struct.pack("!H", checksum)) == 0
 
 
+def wire_frame(payload=b"hello", **ip_fields) -> bytes:
+    return Frame(
+        timestamp=1.5,
+        eth=EthernetHeader(),
+        ip=Ipv4Header(src="10.0.0.1", dst="34.1.2.3", **ip_fields),
+        tcp=TcpHeader(src_port=40001, dst_port=443, seq=7),
+        payload=payload,
+    ).to_bytes()
+
+
 class TestLayers:
     def test_ethernet_round_trip(self):
         header = EthernetHeader()
-        parsed, rest = EthernetHeader.from_bytes(header.to_bytes() + b"payload")
-        assert parsed == header
-        assert rest == b"payload"
+        wire = wire_frame()
+        assert wire[:14] == header.to_bytes()
+        assert wire[:12] == mac_to_bytes(header.dst_mac) + mac_to_bytes(header.src_mac)
+        assert parse_tcp_segment(wire).payload == b"hello"
 
     def test_ethernet_truncated(self):
-        with pytest.raises(PacketError):
-            EthernetHeader.from_bytes(b"\x00" * 5)
+        with pytest.raises(PacketError, match="truncated Ethernet"):
+            parse_tcp_segment(b"\x00" * 5)
 
     def test_ipv4_round_trip(self):
-        header = Ipv4Header(src="1.2.3.4", dst="5.6.7.8", identification=42)
         payload = b"x" * 30
-        parsed, body = Ipv4Header.from_bytes(header.to_bytes(len(payload)) + payload)
-        assert parsed.src == "1.2.3.4"
-        assert parsed.dst == "5.6.7.8"
-        assert parsed.identification == 42
-        assert body == payload
+        wire = wire_frame(payload, identification=42)
+        segment = parse_tcp_segment(wire)
+        assert segment.src_ip == "10.0.0.1"
+        assert segment.dst_ip == "34.1.2.3"
+        assert struct.unpack_from("!H", wire, 14 + 4) == (42,)  # identification
+        assert segment.payload == payload
 
     def test_ipv4_checksum_validated(self):
-        raw = bytearray(Ipv4Header(src="1.2.3.4", dst="5.6.7.8").to_bytes(0))
-        raw[8] ^= 0xFF  # corrupt TTL
-        with pytest.raises(PacketError):
-            Ipv4Header.from_bytes(bytes(raw))
+        raw = bytearray(wire_frame())
+        raw[14 + 8] ^= 0xFF  # corrupt TTL
+        with pytest.raises(PacketError, match="checksum"):
+            parse_tcp_segment(bytes(raw))
 
     def test_tcp_round_trip(self):
         header = TcpHeader(src_port=40000, dst_port=443, seq=1000, flags=0x18)
-        wire = header.to_bytes(b"data", "1.1.1.1", "2.2.2.2")
-        parsed, payload = TcpHeader.from_bytes(wire)
-        assert parsed.src_port == 40000
-        assert parsed.dst_port == 443
-        assert parsed.seq == 1000
-        assert payload == b"data"
+        wire = (
+            EthernetHeader().to_bytes()
+            + Ipv4Header(src="1.1.1.1", dst="2.2.2.2").to_bytes(24)
+            + header.to_bytes(b"data", "1.1.1.1", "2.2.2.2")
+        )
+        segment = parse_tcp_segment(wire)
+        assert segment.src_port == 40000
+        assert segment.dst_port == 443
+        assert segment.seq == 1000
+        assert segment.flags == 0x18
+        assert segment.payload == b"data"
 
 
 class TestFrame:
-    def make_frame(self, payload=b"hello") -> Frame:
-        return Frame(
-            timestamp=1.5,
-            eth=EthernetHeader(),
-            ip=Ipv4Header(src="10.0.0.1", dst="34.1.2.3"),
-            tcp=TcpHeader(src_port=40001, dst_port=443, seq=7),
-            payload=payload,
-        )
-
     def test_round_trip(self):
-        frame = self.make_frame()
-        parsed = Frame.from_bytes(frame.to_bytes(), timestamp=1.5)
-        assert parsed.ip.src == "10.0.0.1"
-        assert parsed.tcp.seq == 7
-        assert parsed.payload == b"hello"
-        assert parsed.flow_key == ("10.0.0.1", 40001, "34.1.2.3", 443)
+        segment = parse_tcp_segment(wire_frame(), timestamp=1.5)
+        assert segment.timestamp == 1.5
+        assert segment.seq == 7
+        assert segment.payload == b"hello"
+        assert segment[1:5] == ("10.0.0.1", 40001, "34.1.2.3", 443)
 
     @given(st.binary(max_size=500))
     def test_payload_round_trip_property(self, payload):
-        frame = self.make_frame(payload)
-        assert Frame.from_bytes(frame.to_bytes()).payload == payload
+        assert parse_tcp_segment(wire_frame(payload)).payload == payload
 
     def test_non_ip_ethertype_rejected(self):
-        frame = self.make_frame()
-        raw = bytearray(frame.to_bytes())
+        raw = bytearray(wire_frame())
         raw[12:14] = b"\x08\x06"  # ARP
-        with pytest.raises(PacketError):
-            Frame.from_bytes(bytes(raw))
+        with pytest.raises(PacketError, match="ethertype"):
+            parse_tcp_segment(bytes(raw))
 
     def test_non_tcp_protocol_rejected(self):
         wire = (
             EthernetHeader().to_bytes()
             + Ipv4Header(src="1.1.1.1", dst="2.2.2.2", protocol=17).to_bytes(0)
         )
-        with pytest.raises(PacketError):
-            Frame.from_bytes(wire)
+        with pytest.raises(PacketError, match="protocol"):
+            parse_tcp_segment(wire)

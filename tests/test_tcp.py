@@ -5,10 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.packet import TcpHeader, TcpSegment
+from repro.net.packet import Frame, TcpHeader, TcpSegment, parse_tcp_segment
 from repro.net.tcp import DEFAULT_MSS, FlowId, TcpReassembler, segment_request
 
 FLOW = FlowId(client_ip="10.0.0.1", client_port=40000, server_ip="34.0.0.1", server_port=443)
+
+
+def on_the_wire(frame: Frame) -> TcpSegment:
+    """A generated frame as the decode path sees it."""
+    return parse_tcp_segment(frame.to_bytes(), frame.timestamp)
 
 
 class TestSegmentation:
@@ -50,7 +55,7 @@ class TestReassembly:
     def reassemble(self, frames):
         reassembler = TcpReassembler()
         for frame in frames:
-            reassembler.add_frame(frame)
+            reassembler.add_segment(on_the_wire(frame))
         return reassembler.flows()
 
     def test_in_order(self):
@@ -116,7 +121,7 @@ class TestReassembly:
     def test_len_counts_flows(self):
         reassembler = TcpReassembler()
         for frame in segment_request(b"x", FLOW, 0.0):
-            reassembler.add_frame(frame)
+            reassembler.add_segment(on_the_wire(frame))
         assert len(reassembler) == 1
 
 
@@ -249,7 +254,7 @@ class TestIncrementalReassembly:
         high_water = 0
         drained = bytearray()
         for frame in segment_request(payload, FLOW, 0.0):
-            reassembler.add_frame(frame)
+            reassembler.add_segment(on_the_wire(frame))
             drained += reassembler.drain_ready(FLOW)
             high_water = max(high_water, reassembler.buffered_bytes())
         # In-order traffic drains continuously: the reassembler never

@@ -4,19 +4,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.tls import (
+    RECORD_TYPE_APPDATA,
+    STREAM_HELLO,
+    STREAM_PLAIN,
+    STREAM_RECORDS,
     KeyLog,
     TlsError,
     TlsSession,
-    decrypt_stream,
+    decrypt_record,
     encrypt_stream,
-    iter_records,
-    looks_like_tls,
-    unwrap_hello,
+    scan_hello,
+    scan_records,
+    sniff_stream,
     wrap_with_hello,
 )
 
 SESSION = TlsSession.derive(b"test-session")
 OTHER = TlsSession.derive(b"other-session")
+
+
+def decrypt(stream, session: TlsSession) -> bytes:
+    """Decrypt a whole record stream, as the flow decoder does."""
+    records, consumed = scan_records(stream)
+    assert consumed == len(stream)
+    return b"".join(
+        decrypt_record(body, session, index)
+        for index, (record_type, body) in enumerate(records)
+        if record_type == RECORD_TYPE_APPDATA
+    )
 
 
 class TestSession:
@@ -32,31 +47,41 @@ class TestSession:
 class TestRecords:
     def test_round_trip(self):
         plaintext = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"
-        assert decrypt_stream(encrypt_stream(plaintext, SESSION), SESSION) == plaintext
+        assert decrypt(encrypt_stream(plaintext, SESSION), SESSION) == plaintext
 
     def test_wrong_key_gives_garbage(self):
         plaintext = b"secret payload bytes"
-        garbled = decrypt_stream(encrypt_stream(plaintext, SESSION), OTHER)
+        garbled = decrypt(encrypt_stream(plaintext, SESSION), OTHER)
         assert garbled != plaintext
 
     def test_large_payload_multiple_records(self):
         plaintext = b"A" * 40_000  # > MAX_RECORD_LEN
         stream = encrypt_stream(plaintext, SESSION)
-        records = list(iter_records(stream))
+        records, _ = scan_records(stream)
         assert len(records) == 3
-        assert decrypt_stream(stream, SESSION) == plaintext
+        assert decrypt(stream, SESSION) == plaintext
 
-    def test_truncated_record_raises(self):
-        stream = encrypt_stream(b"hello", SESSION)
+    def test_truncated_record_waits(self):
+        stream = encrypt_stream(b"hello", SESSION) + encrypt_stream(b"world", OTHER)
+        # A truncated trailing record is an incomplete feed: the scan
+        # stops before it (a flow that ends there is undecryptable).
+        records, consumed = scan_records(stream[:-2])
+        assert len(records) == 1
+        assert consumed == len(encrypt_stream(b"hello", SESSION))
+        assert scan_records(stream[:3]) == ([], 0)
+        # A malformed header is corruption, however much follows it.
+        corrupted = bytearray(stream)
+        corrupted[consumed + 2] ^= 0x01  # second record's version
         with pytest.raises(TlsError):
-            list(iter_records(stream[:-2]))
+            scan_records(bytes(corrupted))
 
     def test_empty_stream(self):
-        assert decrypt_stream(b"", SESSION) == b""
+        assert scan_records(b"") == ([], 0)
+        assert decrypt(b"", SESSION) == b""
 
     @given(st.binary(min_size=0, max_size=5000))
     def test_round_trip_property(self, plaintext):
-        assert decrypt_stream(encrypt_stream(plaintext, SESSION), SESSION) == plaintext
+        assert decrypt(encrypt_stream(plaintext, SESSION), SESSION) == plaintext
 
     def test_ciphertext_differs_from_plaintext(self):
         plaintext = b"hello world, this is sensitive"
@@ -68,27 +93,38 @@ class TestHello:
     def test_wrap_unwrap(self):
         stream = encrypt_stream(b"payload", SESSION)
         wrapped = wrap_with_hello(stream, SESSION, sni="api.example.com")
-        hello, rest = unwrap_hello(wrapped)
-        assert hello is not None
-        assert hello.sni == "api.example.com"
-        assert hello.client_random == SESSION.client_random
-        assert rest == stream
+        client_random, sni, consumed = scan_hello(wrapped)
+        assert sni == "api.example.com"
+        assert client_random == SESSION.client_random
+        assert wrapped[consumed:] == stream
 
     def test_empty_sni(self):
         wrapped = wrap_with_hello(b"", SESSION, sni="")
-        hello, _ = unwrap_hello(wrapped)
-        assert hello.sni == ""
+        assert scan_hello(wrapped) == (SESSION.client_random, "", len(wrapped))
 
-    def test_unwrap_non_tls_returns_none(self):
-        hello, rest = unwrap_hello(b"GET / HTTP/1.1\r\n")
-        assert hello is None
-        assert rest == b"GET / HTTP/1.1\r\n"
+    def test_truncated_hello_waits(self):
+        wrapped = wrap_with_hello(b"", SESSION, sni="api.example.com")
+        for cut in range(len(wrapped)):
+            assert scan_hello(wrapped[:cut]) is None
+
+    def test_scan_hello_rejects_non_tls(self):
+        with pytest.raises(TlsError):
+            scan_hello(b"GET / HTTP/1.1\r\n")
+
+    def test_non_idna_sni_rejected(self):
+        wrapped = b"\x16\x03" + SESSION.client_random + b"\x00\x03\xff\xfe\xfd"
+        with pytest.raises(TlsError):
+            scan_hello(wrapped)
 
     def test_looks_like_tls(self):
         wrapped = wrap_with_hello(encrypt_stream(b"x", SESSION), SESSION, "h")
-        assert looks_like_tls(wrapped)
-        assert looks_like_tls(encrypt_stream(b"x", SESSION))
-        assert not looks_like_tls(b"POST /api HTTP/1.1\r\n")
+        assert sniff_stream(wrapped) == STREAM_HELLO
+        assert sniff_stream(wrapped[:2]) == STREAM_HELLO
+        assert sniff_stream(encrypt_stream(b"x", SESSION)) == STREAM_RECORDS
+        assert sniff_stream(b"POST /api HTTP/1.1\r\n") == STREAM_PLAIN
+        # Too short to tell a record header from plaintext yet.
+        assert sniff_stream(encrypt_stream(b"x", SESSION)[:4]) is None
+        assert sniff_stream(b"") is None
 
 
 class TestKeyLog:
