@@ -738,10 +738,9 @@ def cmd_report(args) -> int:
         from repro.reporting.tables import render_table
 
         rows = []
+        observations = result.flows.observations()
         for service in sorted(result.audits):
-            summary = summarize(
-                [o for o in result.flows.observations() if o.service == service]
-            )
+            summary = summarize([o for o in observations if o.service == service])
             rows.append(
                 [
                     service,

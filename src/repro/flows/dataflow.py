@@ -10,8 +10,9 @@ per-destination data type sets for the linkability analysis.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.destinations.party import PartyLabel
 from repro.model import FlowCell, Platform, Presence, TraceColumn
@@ -59,16 +60,53 @@ class FlowObservation:
         return (self.level3, self.fqdn)
 
 
+# Projections of a packed row — FlowObservation's fields, in declaration
+# order, as indexes into the row's pool.
+_GRID_FIELDS = itemgetter(0, 1, 2, 3, 6)  # service, column, platform, level3, party
+_DESTINATION_FIELDS = itemgetter(0, 1, 4, 3, 6)  # service, column, fqdn, level3, party
+_CONTACT_FIELDS = itemgetter(0, 1, 4, 6)  # service, column, fqdn, party
+_FLOW_PAIR = itemgetter(3, 4)  # level3, fqdn
+_PARTY_KEY = itemgetter(0, 4)  # service, fqdn
+_PARTY = itemgetter(6)
+
+
+def _count(counts: dict, service: str, column: TraceColumn, fqdn: str, n: int) -> None:
+    per_cell = counts.setdefault((service, column), {})
+    per_cell[fqdn] = per_cell.get(fqdn, 0) + n
+
+
 class FlowTable:
-    """All flow observations of a corpus, with audit-ready roll-ups."""
+    """All flow observations of a corpus, with audit-ready roll-ups.
+
+    Observations are kept in segments, in observation order: lists of
+    :class:`FlowObservation` (filled by :meth:`add` and :meth:`merge`)
+    and packed segments — a shard's ``(pool, rows)`` exactly as
+    ``repro.pipeline.engine.pack_shard_result`` interned them, folded
+    in by :meth:`merge_packed` without building an object per row.
+    :meth:`observations` builds those objects only when asked.
+
+    The Table 4 grid, per-destination type sets and party labels are
+    kept up to date on every fold.  The roll-ups only the downstream
+    analyses read — third-party ATS contact counts and the
+    per-(service, column) type-set index — are derived once, on first
+    use, and again only after observations were added.
+    """
 
     def __init__(self) -> None:
+        # The open list segment: add() appends here.  It is always the
+        # last entry of _segments.
         self._observations: list[FlowObservation] = []
+        self._segments: list[list[FlowObservation] | tuple[tuple, tuple]] = [
+            self._observations
+        ]
+        self._sealed = 0  # observations in the segments before the open one
         # (service, level2, column, cell) -> {platforms observed}
         self._grid: dict[tuple, set[Platform]] = defaultdict(set)
         # (service, column, fqdn) -> {level3 types} for third parties
         self._per_destination: dict[tuple, set[Level3]] = defaultdict(set)
         self._party_by_fqdn: dict[tuple[str, str], PartyLabel] = {}
+        # (observation count, (contacts, type-set index))
+        self._derived: tuple[int, tuple] | None = None
 
     def add(self, observation: FlowObservation) -> None:
         self._observations.append(observation)
@@ -110,36 +148,149 @@ class FlowTable:
         keep :meth:`add`'s semantics: labels set by ``other``'s
         observations override, registered-only labels do not.
         """
-        self._observations.extend(other._observations)
+        parties = self._party_by_fqdn
+        for segment in other._segments:
+            if isinstance(segment, list):
+                self._observations.extend(segment)
+                for observation in segment:
+                    parties[(observation.service, observation.fqdn)] = observation.party
+            else:
+                pool, rows = segment
+                self._append_packed(segment)
+                # ``other``'s label for a key it observed is the one its
+                # last observation of that key set.
+                for s, fqdn in dict.fromkeys(map(_PARTY_KEY, rows)):
+                    key = (pool[s], pool[fqdn])
+                    parties[key] = other._party_by_fqdn[key]
         for key, platforms in other._grid.items():
             self._grid[key].update(platforms)
         for key, types in other._per_destination.items():
             self._per_destination[key].update(types)
-        for observation in other._observations:
-            self._party_by_fqdn[
-                (observation.service, observation.fqdn)
-            ] = observation.party
         for key, party in other._party_by_fqdn.items():
-            self._party_by_fqdn.setdefault(key, party)
+            parties.setdefault(key, party)
+
+    def merge_packed(self, pool: tuple, rows: tuple, parties: tuple) -> None:
+        """Fold one packed shard table into this one.
+
+        ``rows`` are observations as tuples of ``pool`` indexes, one
+        per :class:`FlowObservation` field in declaration order;
+        ``parties`` are ``(service, fqdn, party)`` index triples, the
+        shard table's party labels.  Equivalent to :meth:`merge` of
+        the table that adding every row and then registering every
+        party builds.  The per-row work is keyed on pool indexes: each
+        roll-up key is translated to values — and its enums hashed —
+        once per distinct index combination, not once per row.
+        """
+        if rows:
+            self._append_packed((pool, rows))
+        level2_of = ONTOLOGY.level2_of
+        for s, column, platform, level3, party in dict.fromkeys(
+            map(_GRID_FIELDS, rows)
+        ):
+            self._grid[
+                (pool[s], level2_of(pool[level3]), pool[column], cell_for(pool[party]))
+            ].add(pool[platform])
+        third = {p for p in set(map(_PARTY, rows)) if pool[p].is_third_party}
+        for s, column, fqdn, level3, party in dict.fromkeys(
+            map(_DESTINATION_FIELDS, rows)
+        ):
+            if party in third:
+                self._per_destination[(pool[s], pool[column], pool[fqdn])].add(
+                    pool[level3]
+                )
+        # As add(): each observed key takes the label of its last row,
+        # in first-seen order; then registrations fill in the rest.
+        labels = self._party_by_fqdn
+        for (s, fqdn), party in dict(
+            zip(map(_PARTY_KEY, rows), map(_PARTY, rows))
+        ).items():
+            labels[(pool[s], pool[fqdn])] = pool[party]
+        for s, fqdn, party in parties:
+            labels.setdefault((pool[s], pool[fqdn]), pool[party])
+
+    def _append_packed(self, segment: tuple[tuple, tuple]) -> None:
+        """Close the open list segment behind ``segment`` and open a new one."""
+        if self._observations:
+            self._sealed += len(self._observations)
+        else:
+            self._segments.pop()
+        self._sealed += len(segment[1])
+        self._observations = []
+        self._segments += (segment, self._observations)
 
     def __len__(self) -> int:
-        return len(self._observations)
+        return self._sealed + len(self._observations)
 
     def observations(self) -> list[FlowObservation]:
-        return list(self._observations)
+        out: list[FlowObservation] = []
+        for segment in self._segments:
+            if isinstance(segment, list):
+                out.extend(segment)
+            else:
+                pool, rows = segment
+                out.extend(
+                    FlowObservation(*map(pool.__getitem__, row)) for row in rows
+                )
+        return out
+
+    def _rollups(self) -> tuple:
+        """``(contacts, type_sets)`` over every observation.
+
+        * ``contacts``: (service, column) → {fqdn: third-party ATS
+          observation count}, fqdns in first-seen order;
+        * ``type_sets``: (service, column) → {fqdn: level3 set} for
+          third parties, in ``_per_destination`` order.
+
+        Derived in one walk and kept until the table grows: every
+        mutation that could change them adds observations.
+        """
+        count = len(self)
+        if self._derived is not None and self._derived[0] == count:
+            return self._derived[1]
+        third_ats = PartyLabel.THIRD_PARTY_ATS
+        contacts: dict[tuple, dict[str, int]] = {}
+        for segment in self._segments:
+            if isinstance(segment, list):
+                for o in segment:
+                    if o.party is third_ats:
+                        _count(contacts, o.service, o.column, o.fqdn, 1)
+                continue
+            pool, rows = segment
+            for (s, column, fqdn, party), n in Counter(
+                map(_CONTACT_FIELDS, rows)
+            ).items():
+                if pool[party] is third_ats:
+                    _count(contacts, pool[s], pool[column], pool[fqdn], n)
+        type_sets: dict[tuple, dict[str, set[Level3]]] = {}
+        for (service, column, fqdn), types in self._per_destination.items():
+            type_sets.setdefault((service, column), {})[fqdn] = types
+        rollups = (contacts, type_sets)
+        self._derived = (count, rollups)
+        return rollups
 
     # -- paper-facing aggregates ---------------------------------------
 
     def unique_flows(self) -> set[tuple[Level3, str]]:
         """Unique <data type, destination> pairs (paper: 5,508)."""
-        return {observation.flow_pair for observation in self._observations}
+        pairs: set[tuple[Level3, str]] = set()
+        for segment in self._segments:
+            if isinstance(segment, list):
+                pairs.update(observation.flow_pair for observation in segment)
+            else:
+                pool, rows = segment
+                pairs.update(
+                    (pool[level3], pool[fqdn])
+                    for level3, fqdn in dict.fromkeys(map(_FLOW_PAIR, rows))
+                )
+        return pairs
 
     def unique_data_types(self) -> set[str]:
         """Unique raw data types observed in flows."""
-        return {o.raw_key for o in self._observations if o.raw_key}
+        return {o.raw_key for o in self.observations() if o.raw_key}
 
     def services(self) -> list[str]:
-        return sorted({o.service for o in self._observations})
+        # Every observation, and nothing else, opens a grid cell.
+        return sorted({key[0] for key in self._grid})
 
     def presence(
         self,
@@ -174,14 +325,14 @@ class FlowTable:
     def observed_level2(self, service: str | None = None) -> set[Level2]:
         return {
             o.level2
-            for o in self._observations
+            for o in self.observations()
             if service is None or o.service == service
         }
 
     def observed_level3(self, service: str | None = None) -> set[Level3]:
         return {
             o.level3
-            for o in self._observations
+            for o in self.observations()
             if service is None or o.service == service
         }
 
@@ -191,11 +342,15 @@ class FlowTable:
         self, service: str, column: TraceColumn
     ) -> dict[str, set[Level3]]:
         """Per-third-party data type sets for one service and column."""
-        out: dict[str, set[Level3]] = {}
-        for (svc, col, fqdn), types in self._per_destination.items():
-            if svc == service and col == column:
-                out[fqdn] = set(types)
-        return out
+        cell = self._rollups()[1].get((service, column), {})
+        return {fqdn: set(types) for fqdn, types in cell.items()}
+
+    def third_party_ats_contacts(
+        self, service: str, column: TraceColumn
+    ) -> dict[str, int]:
+        """Observation count per third-party ATS destination of one
+        service and column, destinations in first-seen order."""
+        return dict(self._rollups()[0].get((service, column), {}))
 
     def party_of(self, service: str, fqdn: str) -> PartyLabel | None:
         return self._party_by_fqdn.get((service, fqdn))

@@ -41,31 +41,20 @@ def alluvial_edges(
     """
     edges: list[AlluvialEdge] = []
     services = services or flows.services()
-    wanted = set(services)
-    # Group third-party-ATS observations by (service, column) in one
-    # pass; each cell below then scans only its own group instead of
-    # every observation once per |services × columns| cell.  Group
-    # order preserves observation order, so Counter insertion order —
-    # the most_common tie-break — is unchanged.
-    grouped: dict[tuple, list] = {}
-    for observation in flows.observations():
-        if observation.service not in wanted:
-            continue
-        if not observation.party.is_ats or not observation.party.is_third_party:
-            continue
-        grouped.setdefault(
-            (observation.service, observation.column), []
-        ).append(observation)
     for service in services:
         for column in ALL_COLUMNS:
             type_sets = flows.third_party_type_sets(service, column)
-            linkable = {
-                fqdn for fqdn, types in type_sets.items() if is_linkable(types)
-            }
-            frequency: Counter[str] = Counter()
-            for observation in grouped.get((service, column), ()):
-                if observation.fqdn in linkable:
-                    frequency[observation.fqdn] += 1
+            # Contacts come in first-seen order, which is most_common's
+            # tie-break.
+            frequency = Counter(
+                {
+                    fqdn: count
+                    for fqdn, count in flows.third_party_ats_contacts(
+                        service, column
+                    ).items()
+                    if is_linkable(type_sets[fqdn])
+                }
+            )
             for fqdn, weight in frequency.most_common(top_n):
                 organization = owner_of(service, fqdn) or "(unknown)"
                 edges.append(

@@ -12,11 +12,16 @@ from repro.ontology import ONTOLOGY
 from repro.ontology.nodes import Level3
 
 
+_IDENTIFIER_TYPES = frozenset(
+    label for label in Level3 if ONTOLOGY.is_identifier(label)
+)
+
+
 def is_linkable(types: set[Level3]) -> bool:
     """≥1 identifier and ≥1 personal-information type (paper §4.2)."""
-    has_identifier = any(ONTOLOGY.is_identifier(t) for t in types)
-    has_personal_information = any(not ONTOLOGY.is_identifier(t) for t in types)
-    return has_identifier and has_personal_information
+    return not (
+        _IDENTIFIER_TYPES.isdisjoint(types) or _IDENTIFIER_TYPES.issuperset(types)
+    )
 
 
 @dataclass

@@ -342,8 +342,8 @@ class PackedResultCoverageRule(AstRule):
         "packed process-pool path would drop it"
     )
     hint = (
-        "intern/copy the new field in pack_shard_result and restore it "
-        "in PackedShardResult.unpack"
+        "intern/copy the new field in pack_shard_result and fold it "
+        "in AuditEngine.merge"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

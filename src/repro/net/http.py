@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.url import Url, parse_url
+from repro.net.url import Url, UrlError, parse_url
 from repro.obs.metrics import REGISTRY
 
 _REQUESTS = REGISTRY.counter("repro_http_requests_total")
@@ -132,9 +132,9 @@ def scan_request_stream(
     incremental caller drops that prefix and retries when more bytes
     arrive; a trailing partial request of a finished flow is dropped,
     as Wireshark-based pipelines drop incomplete flows) and ``broken``
-    means a head failed to parse — the walk stops for good at that
-    point, so callers must stop emitting too.  Requests carry
-    ``timestamp=0.0``; callers stamp them.
+    means a head failed to parse or its Host did not form a URL — the
+    walk stops for good at that point, so callers must stop emitting
+    too.  Requests carry ``timestamp=0.0``; callers stamp them.
     """
     requests: list[HttpRequest] = []
     position = 0
@@ -147,15 +147,18 @@ def scan_request_stream(
             method, target, version, headers, host, body_length = _parse_head(
                 data[position:separator]
             )
-        except HttpParseError:
+            end = separator + 4 + body_length
+            if end > stream_length:
+                break  # truncated trailing request
+            # A Host that does not form a URL is as malformed as a
+            # head that does not parse.
+            url = parse_url(f"{scheme}://{host}{target}")
+        except (HttpParseError, UrlError):
             return requests, position, True
-        end = separator + 4 + body_length
-        if end > stream_length:
-            break  # truncated trailing request
         requests.append(
             HttpRequest(
                 method=method,
-                url=parse_url(f"{scheme}://{host}{target}"),
+                url=url,
                 headers=headers,
                 body=data[separator + 4 : end],
                 http_version=version,

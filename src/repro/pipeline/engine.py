@@ -72,7 +72,7 @@ from repro.destinations.entities import EntityDatabase
 from repro.destinations.party import DestinationLabeler
 from repro.faults.plan import FAULTS_FIRED, FaultPlan
 from repro.flows.builder import FlowBuilder
-from repro.flows.dataflow import FlowObservation, FlowTable
+from repro.flows.dataflow import FlowTable
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import SpanRecorder
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
@@ -582,12 +582,10 @@ class PackedShardResult:
     list they are derived from, and every observation as an object
     with eight attribute slots.  The packed form interns every field
     value — strings and enums alike — into one pool and encodes each
-    observation as eight pool indexes; roll-ups are dropped entirely
-    and rebuilt on unpack by replaying the observations through
-    :meth:`FlowTable.add`, exactly as :meth:`FlowTable.merge` would.
-    Unpacking is faithful by construction: party registrations replay
-    after the adds through ``register_party`` (setdefault semantics),
-    the same order merge uses.
+    observation as eight pool indexes; roll-ups are dropped entirely.
+    Nothing unpacks it: :meth:`AuditEngine.merge` folds ``pool``,
+    ``observations`` and ``parties`` straight into the corpus table
+    (:meth:`FlowTable.merge_packed`), which keeps the rows as they are.
     """
 
     service: str
@@ -613,41 +611,6 @@ class PackedShardResult:
     # canonical task order, and stripped before unit-result caching —
     # a cached unit's metrics describe work THIS run never did.
     metrics: dict | None = None
-
-    def unpack(self) -> ShardResult:
-        pool = self.pool
-        flows = FlowTable()
-        for s, col, plat, lvl, fqdn, esld, party, raw in self.observations:
-            flows.add(
-                FlowObservation(
-                    service=pool[s],
-                    column=pool[col],
-                    platform=pool[plat],
-                    level3=pool[lvl],
-                    fqdn=pool[fqdn],
-                    esld=pool[esld],
-                    party=pool[party],
-                    raw_key=pool[raw],
-                )
-            )
-        for s, fqdn, party in self.parties:
-            flows.register_party(pool[s], pool[fqdn], pool[party])
-        return ShardResult(
-            service=self.service,
-            flows=flows,
-            dataset=self.dataset,
-            contacted={pool[i] for i in self.contacted},
-            raw_keys={pool[i] for i in self.raw_keys},
-            classified={pool[i] for i in self.classified},
-            owners={pool[f]: pool[o] for f, o in self.owners},
-            trace_count=self.trace_count,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            store_hits=self.store_hits,
-            store_misses=self.store_misses,
-            stage_times=self.stage_times,
-            degraded=list(self.degraded),
-        )
 
 
 def pack_shard_result(result: ShardResult) -> PackedShardResult:
@@ -757,22 +720,6 @@ def _decode_unit_payload(payload: bytes, service: str) -> PackedShardResult | No
     if not isinstance(packed, PackedShardResult) or packed.service != service:
         return None
     return packed
-
-
-def _cached_shard_result(packed: PackedShardResult) -> ShardResult:
-    """Unpack a cached unit result for merging into *this* run.
-
-    The stored payload carries the counters and stage times of the run
-    that produced it; a run that merely loaded it did none of that
-    work, so they are zeroed — ``EngineOutput`` counters and profiles
-    describe only work actually performed.  The merged audit state is
-    untouched (counters never reach the exported report).
-    """
-    result = packed.unpack()
-    result.cache_hits = result.cache_misses = 0
-    result.store_hits = result.store_misses = 0
-    result.stage_times = {}
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1502,13 +1449,17 @@ class AuditEngine:
         ]
 
     @staticmethod
-    def merge(results: list[ShardResult]) -> EngineOutput:
+    def merge(results: list[ShardResult | PackedShardResult]) -> EngineOutput:
         """Fold ordered shard results into corpus-wide state.
 
         Results must arrive in canonical order: service-spec order,
         then sub-shard (trace-unit) order within a split service.  A
         service's sub-shard results are folded exactly as one whole-
         service result would be — contacted sets union, counters sum.
+        A packed result (a pool worker's, or a cached unit's) folds
+        as the in-process result it was packed from would: its rows
+        go into the corpus table as they are, and its interned sets
+        are read through its pool.
         """
         flows = FlowTable()
         dataset = DatasetSummary()
@@ -1520,13 +1471,23 @@ class AuditEngine:
         hits = misses = store_hits = store_misses = 0
         degraded: list[DegradedUnit] = []
         for result in results:
-            flows.merge(result.flows)
+            hosts = contacted.setdefault(result.service, set())
+            if isinstance(result, PackedShardResult):
+                pool = result.pool
+                flows.merge_packed(pool, result.observations, result.parties)
+                hosts.update(pool[i] for i in result.contacted)
+                raw_keys.update(pool[i] for i in result.raw_keys)
+                classified.update(pool[i] for i in result.classified)
+                for fqdn_i, owner_i in result.owners:
+                    owners[(result.service, pool[fqdn_i])] = pool[owner_i]
+            else:
+                flows.merge(result.flows)
+                hosts.update(result.contacted)
+                raw_keys.update(result.raw_keys)
+                classified.update(result.classified)
+                for fqdn, owner in result.owners.items():
+                    owners[(result.service, fqdn)] = owner
             dataset.merge(result.dataset)
-            contacted.setdefault(result.service, set()).update(result.contacted)
-            raw_keys.update(result.raw_keys)
-            classified.update(result.classified)
-            for fqdn, owner in result.owners.items():
-                owners[(result.service, fqdn)] = owner
             trace_count += result.trace_count
             hits += result.cache_hits
             misses += result.cache_misses
@@ -1857,30 +1818,20 @@ class AuditEngine:
                 raw_results, work, crash_degraded, flush
             )
         if packed:
-            # Results crossed the pool pickled; unpack them
-            # parent-side.  ``None`` slots are fully-quarantined
-            # shards — nothing to unpack or merge.
+            # Fold worker-side metric deltas into the parent registry
+            # in canonical task order (raw_results is in input order),
+            # so the merged telemetry is the same whatever order
+            # workers finished in.  ``None`` slots are fully-
+            # quarantined shards.
             with timer.stage("unpack"):
-                results = [
-                    raw.unpack() if raw is not None else None
-                    for raw in raw_results
-                ]
-                # Fold worker-side metric deltas into the parent
-                # registry in canonical task order (raw_results is in
-                # input order), so the merged telemetry is the same
-                # whatever order workers finished in.  getattr guards
-                # payloads unpickled from stores written before the
-                # metrics field existed.
                 for raw in raw_results:
-                    shipped = getattr(raw, "metrics", None) if raw else None
-                    if shipped is not None:
-                        REGISTRY.absorb(shipped)
-        else:
-            results = raw_results
+                    if raw is not None and raw.metrics is not None:
+                        REGISTRY.absorb(raw.metrics)
+        results: list[ShardResult | PackedShardResult] = []
         unit_hits = unit_misses = 0
         if slots is not None:
             unit_hits = sum(1 for cached in slots if cached is not None)
-            unit_misses = sum(1 for result in results if result is not None)
+            unit_misses = sum(1 for result in raw_results if result is not None)
             # Weave cached and fresh results back into canonical
             # order (service-spec order, then unit order) — the order
             # merge requires.  merge folds per-unit results exactly
@@ -1889,18 +1840,25 @@ class AuditEngine:
             # quarantined unit: it contributes nothing, exactly as if
             # the unit were absent from the corpus.
             with timer.stage("unpack"):
-                dirty_iter = iter(results)
-                woven: list[ShardResult] = []
+                dirty_iter = iter(raw_results)
                 for cached in slots:
                     if cached is not None:
-                        woven.append(_cached_shard_result(cached))
+                        # The stored counters and stage times describe
+                        # the run that produced the unit; this run did
+                        # none of that work, so they are zeroed —
+                        # EngineOutput counters and profiles describe
+                        # only work actually performed.  The merged
+                        # audit state is untouched.
+                        cached.cache_hits = cached.cache_misses = 0
+                        cached.store_hits = cached.store_misses = 0
+                        cached.stage_times = {}
+                        results.append(cached)
                         continue
                     fresh = next(dirty_iter)
                     if fresh is not None:
-                        woven.append(fresh)
-                results = woven
+                        results.append(fresh)
         else:
-            results = [result for result in results if result is not None]
+            results = [result for result in raw_results if result is not None]
         with timer.stage("merge"):
             merged = self.merge(results)
         merged.degraded.extend(crash_degraded)

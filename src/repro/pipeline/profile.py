@@ -4,10 +4,11 @@ The optimization work on the audit pipeline is measured, not guessed:
 every shard attributes its wall time to named stages (generate/decode,
 extraction, classification, store round-trips, flow building,
 labeling), the engine adds its own orchestration stages (shard setup,
-execution, result unpacking, merge), and the result is one JSON
-document with a stable schema that ``repro bench`` records next to
-every ``BENCH_<n>.json`` entry and ``repro audit --profile-out FILE``
-writes on demand.
+execution, ``unpack`` — weaving cached and fresh results back into
+order and absorbing worker metrics — and merge), and the result is
+one JSON document with a stable schema that ``repro bench`` records
+next to every ``BENCH_<n>.json`` entry and ``repro audit
+--profile-out FILE`` writes on demand.
 
 Timing uses :func:`time.perf_counter` around stage boundaries — a few
 calls per trace, well under the cost of the stages themselves — so the

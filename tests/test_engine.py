@@ -4,19 +4,27 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import CorpusConfig, DiffAudit
 from repro.datatypes.base import Classification
 from repro.datatypes.cache import CachingClassifier
 from repro.destinations.party import PartyLabel
 from repro.flows.dataflow import FlowObservation, FlowTable
-from repro.model import Platform, TraceColumn
+from repro.linkability.alluvial import alluvial_edges
+from repro.linkability.analysis import (
+    destination_census,
+    linkability_matrix,
+    most_common_linkable_set,
+)
+from repro.model import ALL_COLUMNS, Platform, TraceColumn
 from repro.ontology.nodes import Level3
 from repro.pipeline.dataset import DatasetSummary, ServiceDatasetStats
 from repro.pipeline.engine import (
     AuditEngine,
     ProcessPoolShardExecutor,
     SequentialExecutor,
+    ShardResult,
     executor_for,
     generate_corpus_artifacts,
     pack_shard_result,
@@ -101,6 +109,19 @@ class TestFlowTableMerge:
         assert sharded._grid == direct._grid
         assert sharded._per_destination == direct._per_destination
         assert sharded._party_by_fqdn == direct._party_by_fqdn
+
+    def test_rollups_follow_later_adds(self):
+        table = FlowTable()
+        table.add(_observation())
+        assert table.unique_flows() == {(Level3.AGE, "t.tracker.com")}
+        table.add(_observation(level3=Level3.ALIASES))
+        assert table.third_party_type_sets("svc", TraceColumn.ADULT) == {
+            "t.tracker.com": {Level3.AGE, Level3.ALIASES}
+        }
+        assert table.third_party_ats_contacts("svc", TraceColumn.ADULT) == {
+            "t.tracker.com": 2
+        }
+        assert len(table.unique_flows()) == 2
 
     def test_register_party_never_overrides_observed(self):
         table = FlowTable()
@@ -431,33 +452,186 @@ class TestPackedShardResult:
         return process_shard(task)
 
     def test_round_trip_is_faithful(self, shard_result):
-        packed = pack_shard_result(shard_result)
-        revived = pickle.loads(pickle.dumps(packed)).unpack()
-        assert revived.service == shard_result.service
-        assert (
-            revived.flows.observations() == shard_result.flows.observations()
-        )
-        # Roll-ups are rebuilt on unpack, not shipped — they must
-        # still come out identical to the originals.
-        assert revived.flows._grid == shard_result.flows._grid
-        assert (
-            revived.flows._per_destination
-            == shard_result.flows._per_destination
-        )
-        assert revived.flows._party_by_fqdn == shard_result.flows._party_by_fqdn
-        assert revived.contacted == shard_result.contacted
-        assert revived.raw_keys == shard_result.raw_keys
-        assert revived.classified == shard_result.classified
-        assert revived.owners == shard_result.owners
-        assert revived.trace_count == shard_result.trace_count
-        assert revived.cache_hits == shard_result.cache_hits
-        assert revived.cache_misses == shard_result.cache_misses
-        assert revived.stage_times == shard_result.stage_times
+        # Folding the pickled packed result must equal merging the
+        # in-process one: roll-ups are not shipped, yet come out
+        # identical.
+        packed = pickle.loads(pickle.dumps(pack_shard_result(shard_result)))
+        direct = AuditEngine.merge([shard_result])
+        folded = AuditEngine.merge([packed])
+        assert packed.service == shard_result.service
+        assert folded.flows.observations() == direct.flows.observations()
+        assert folded.flows._grid == direct.flows._grid
+        assert folded.flows._per_destination == direct.flows._per_destination
+        assert folded.flows._party_by_fqdn == direct.flows._party_by_fqdn
+        assert folded.contacted == direct.contacted
+        assert folded.raw_keys == direct.raw_keys
+        assert {packed.pool[i] for i in packed.classified} == shard_result.classified
+        assert folded.classified_keys == direct.classified_keys
+        assert folded.owners == direct.owners
+        assert folded.trace_count == direct.trace_count
+        assert folded.cache_hits == direct.cache_hits
+        assert folded.cache_misses == direct.cache_misses
+        # The run profile's stage table folds each merged result's
+        # stage_times, packed or not.
+        assert packed.stage_times == shard_result.stage_times
 
     def test_packed_pickle_is_smaller(self, shard_result):
         raw = len(pickle.dumps(shard_result))
         packed = len(pickle.dumps(pack_shard_result(shard_result)))
         assert packed < raw
+
+
+_SERVICES = ("alpha", "beta", "gamma")
+# FQDNs sharing eSLDs, with owners for some (the rest are unknown).
+_FQDNS = ("a.ads.com", "b.ads.com", "x.cdn.net", "y.cdn.net", "t.tracker.io")
+_OWNERS = {"a.ads.com": "Ads Inc", "b.ads.com": "Ads Inc", "t.tracker.io": "Tracker"}
+# Identifiers and personal information, so linkable sets occur.
+_LEVEL3 = (
+    Level3.ALIASES,
+    Level3.DEVICE_HARDWARE_IDENTIFIERS,
+    Level3.LANGUAGE,
+    Level3.APP_OR_SERVICE_USAGE,
+    Level3.AGE,
+)
+
+_observations = st.builds(
+    lambda service, column, platform, level3, fqdn, party, raw_key: FlowObservation(
+        service=service,
+        column=column,
+        platform=platform,
+        level3=level3,
+        fqdn=fqdn,
+        esld=fqdn.split(".", 1)[1],
+        party=party,
+        raw_key=raw_key,
+    ),
+    st.sampled_from(_SERVICES),
+    st.sampled_from(ALL_COLUMNS),
+    st.sampled_from(list(Platform)),
+    st.sampled_from(_LEVEL3),
+    st.sampled_from(_FQDNS),
+    st.sampled_from(list(PartyLabel)),
+    st.sampled_from(("uid", "lang", "")),
+)
+
+
+@st.composite
+def _units(draw):
+    """Units ``(service, observations, registrations, register_first,
+    packed)``.  Registrations may name hosts the unit never observed;
+    ``register_first`` registers before adding, as a stream snapshot
+    taken mid-trace does.  Observations often repeat, within a unit
+    and across units, as a trace's requests do."""
+    palette = draw(st.lists(_observations, min_size=1, max_size=6))
+    observation = st.one_of(st.sampled_from(palette), _observations)
+    return draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_SERVICES),
+                st.lists(observation, max_size=12),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(_FQDNS), st.sampled_from(list(PartyLabel))
+                    ),
+                    max_size=3,
+                ),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+
+def _unit_result(service, observations, registrations, register_first):
+    flows = FlowTable()
+    if not register_first:
+        flows.extend(observations)
+    for fqdn, party in registrations:
+        flows.register_party(service, fqdn, party)
+    if register_first:
+        flows.extend(observations)
+    contacted = {o.fqdn for o in observations} | {f for f, _ in registrations}
+    return ShardResult(
+        service=service,
+        flows=flows,
+        dataset=DatasetSummary(),
+        contacted=contacted,
+        raw_keys={o.raw_key for o in observations},
+        classified={o.raw_key for o in observations if o.raw_key},
+        owners={fqdn: _OWNERS.get(fqdn) for fqdn in contacted},
+        trace_count=1,
+        cache_hits=len(observations),
+        stage_times={"classify": 0.5},
+    )
+
+
+def _round_trip(result):
+    return pickle.loads(pickle.dumps(pack_shard_result(result)))
+
+
+class TestPackedFold:
+    """Folding packed results equals merging in-process ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_units())
+    def test_packed_in_process_and_mixed_merges_agree(self, units):
+        def results(packed):
+            return [
+                _round_trip(_unit_result(*unit[:4])) if packed(unit)
+                else _unit_result(*unit[:4])
+                for unit in units
+            ]
+
+        reference = AuditEngine.merge(results(lambda unit: False))
+        merges = [
+            AuditEngine.merge(results(lambda unit: True)),
+            AuditEngine.merge(results(lambda unit: unit[4])),
+        ]
+        # A table holding packed rows merges into another as well.
+        again = FlowTable()
+        again.merge(merges[1].flows)
+        def owner_of(service, fqdn):
+            return _OWNERS.get(fqdn)
+
+        expected = self._views(reference, reference.flows, owner_of)
+        for merged in merges:
+            assert self._views(merged, merged.flows, owner_of) == expected
+            assert merged.contacted == reference.contacted
+            assert merged.raw_keys == reference.raw_keys
+            assert merged.classified_keys == reference.classified_keys
+            assert merged.owners == reference.owners
+            assert merged.trace_count == reference.trace_count
+            assert merged.cache_hits == reference.cache_hits
+        assert self._views(reference, again, owner_of) == expected
+
+    @staticmethod
+    def _views(merged, flows, owner_of):
+        """Everything the downstream reads off a table, orders included."""
+        cells = [(service, column) for service in _SERVICES for column in ALL_COLUMNS]
+        return {
+            "observations": flows.observations(),
+            "len": len(flows),
+            "grid": [flows.grid_for(service) for service in _SERVICES],
+            "parties": [
+                flows.party_of(service, fqdn)
+                for service in _SERVICES
+                for fqdn in _FQDNS
+            ],
+            "type_sets": [
+                list(flows.third_party_type_sets(*cell).items()) for cell in cells
+            ],
+            "unique_flows": flows.unique_flows(),
+            "contacts": [
+                list(flows.third_party_ats_contacts(*cell).items()) for cell in cells
+            ],
+            "services": flows.services(),
+            "alluvial": alluvial_edges(flows, owner_of),
+            "linkability": linkability_matrix(flows),
+            "common_set": most_common_linkable_set(flows),
+            "census": destination_census(flows, merged.contacted, owner_of),
+        }
 
 
 class TestEngineParity:

@@ -181,9 +181,10 @@ print(json.dumps(decode_both(sys.stdin.buffer.read(), KeyLog())))
 """
 
 
-class TestBadContentLength:
-    """A Content-Length that is not a non-negative decimal integer makes
-    its head malformed: the flow's request walk stops there."""
+class TestMalformedHead:
+    """A Content-Length that is not a non-negative decimal integer, or a
+    Host that does not form a URL, makes its head malformed: the flow's
+    request walk stops there."""
 
     @pytest.mark.parametrize(
         "head",
@@ -194,6 +195,9 @@ class TestBadContentLength:
             b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: -40\r\n\r\n",
             # Non-numeric: int() raised out of the decoder.
             b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: 12abc\r\n\r\n",
+            # Host does not form a URL: UrlError raised out of the decoder.
+            b"GET / HTTP/1.1\r\nHost: a:99999\r\n\r\n",
+            b"GET / HTTP/1.1\r\nHost: [::1\r\n\r\n",
         ],
     )
     def test_walk_stops_at_the_head(self, head):

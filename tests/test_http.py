@@ -93,6 +93,9 @@ class TestSerialization:
             b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: ten\r\n\r\n",
             b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length: +4\r\n\r\nbody",
             b"GET / HTTP/1.1\r\nHost: a\r\nContent-Length:\r\n\r\n",
+            # A Host that does not form a URL.
+            b"GET / HTTP/1.1\r\nHost: a:99999\r\n\r\n",
+            b"GET / HTTP/1.1\r\nHost: [::1\r\n\r\n",
         ],
     )
     def test_parse_errors(self, data):

@@ -231,7 +231,9 @@ class TestMutationInvalidation:
         cache = tmp_path / "cache"
         cold_json, cold_engine = _audit(pristine_corpus, cache)
         total = cold_engine["unit_misses"]
-        monkeypatch.setattr(store_module, "UNIT_RESULT_SCHEMA", 2)
+        monkeypatch.setattr(
+            store_module, "UNIT_RESULT_SCHEMA", store_module.UNIT_RESULT_SCHEMA + 1
+        )
         spy = _ShardSpy(monkeypatch)
         bumped_json, bumped_engine = _audit(pristine_corpus, cache)
         assert spy.calls == total  # one single-unit task per unit
