@@ -58,7 +58,11 @@ _BUSY_TIMEOUT_S = 30.0
 # alters shard output for identical input bytes.  Rows recorded under
 # an older version are never served and are aged out by
 # ``prune_unit_results`` (``repro cache prune --unit-results``).
-UNIT_RESULT_SCHEMA = 1
+# 2: rows and index sets are fixed-width uint32 ``bytes``, the
+# duplicate ``classified`` set is gone and the dataset row ships as
+# (packets, tcp_flows, esld indexes) — schema-1 payloads hold tuples
+# of ints and a whole DatasetSummary, which this build cannot fold.
+UNIT_RESULT_SCHEMA = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS classifications (
@@ -477,8 +481,14 @@ class ClassificationStore:
 
         self._execute(write)
 
-    def delete_unit_results(self, digests: list[str]) -> int:
-        """Drop specific rows (corrupt-payload quarantine); returns count."""
+    def delete_unit_results(self, epoch: str, digests: list[str]) -> int:
+        """Drop specific rows (corrupt-payload quarantine); returns count.
+
+        Scoped like :meth:`get_unit_results`: only the rows of
+        ``digests`` under the current result schema and ``epoch`` go.
+        The same units' rows under other epochs are healthy results of
+        another configuration, which switching back must re-hit.
+        """
         if not digests:
             return 0
 
@@ -488,8 +498,10 @@ class ClassificationStore:
                 chunk = digests[start : start + _CHUNK]
                 placeholders = ",".join("?" * len(chunk))
                 cursor = self._conn.execute(
-                    f"DELETE FROM unit_results WHERE digest IN ({placeholders})",
-                    chunk,
+                    f"DELETE FROM unit_results "
+                    f"WHERE schema_version = ? AND epoch = ? "
+                    f"AND digest IN ({placeholders})",
+                    [UNIT_RESULT_SCHEMA, epoch, *chunk],
                 )
                 removed += cursor.rowcount
             self._conn.commit()

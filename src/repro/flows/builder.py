@@ -206,7 +206,3 @@ class FlowBuilder:
     @property
     def classified_keys(self) -> int:
         return len(self._seen)
-
-    def classified_key_set(self) -> set[str]:
-        """The unique raw keys this builder has classified so far."""
-        return set(self._seen)

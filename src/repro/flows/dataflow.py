@@ -10,9 +10,10 @@ per-destination data type sets for the linkability analysis.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from typing import Sequence
 
 from repro.destinations.party import PartyLabel
 from repro.model import FlowCell, Platform, Presence, TraceColumn
@@ -60,14 +61,37 @@ class FlowObservation:
         return (self.level3, self.fqdn)
 
 
-# Projections of a packed row — FlowObservation's fields, in declaration
-# order, as indexes into the row's pool.
-_GRID_FIELDS = itemgetter(0, 1, 2, 3, 6)  # service, column, platform, level3, party
-_DESTINATION_FIELDS = itemgetter(0, 1, 4, 3, 6)  # service, column, fqdn, level3, party
-_CONTACT_FIELDS = itemgetter(0, 1, 4, 6)  # service, column, fqdn, party
-_FLOW_PAIR = itemgetter(3, 4)  # level3, fqdn
-_PARTY_KEY = itemgetter(0, 4)  # service, fqdn
-_PARTY = itemgetter(6)
+#: One packed observation: :class:`FlowObservation`'s fields, in
+#: declaration order, as little-endian uint32 indexes into the pool of
+#: the segment that holds it.  A packed segment's rows are one
+#: ``bytes`` of these records.
+PACKED_ROW = struct.Struct("<8I")
+
+
+def pack_indexes(indexes: Sequence[int]) -> bytes:
+    """Pool indexes as one ``bytes`` of little-endian uint32s — the
+    encoding of every packed index set (pairs and triples run flat)."""
+    return struct.pack(f"<{len(indexes)}I", *indexes)
+
+
+def unpack_indexes(data: bytes) -> tuple[int, ...]:
+    """The pool indexes :func:`pack_indexes` encoded."""
+    return struct.unpack(f"<{len(data) // 4}I", data)
+
+
+# A packed row's fields, by position.
+_SERVICE, _COLUMN, _PLATFORM, _LEVEL3, _FQDN, _ESLD, _PARTY, _RAW_KEY = range(8)
+
+
+def _columns(rows: bytes, *fields: int) -> list[tuple[int, ...]]:
+    """The given fields of packed ``rows``, one index column each.
+
+    The rows are unpacked once, into one flat tuple; each column is a
+    slice of it.  A fold's passes then zip the columns they read
+    instead of projecting a tuple out of every row.
+    """
+    flat = unpack_indexes(rows)
+    return [flat[field::8] for field in fields]
 
 
 def _count(counts: dict, service: str, column: TraceColumn, fqdn: str, n: int) -> None:
@@ -81,9 +105,11 @@ class FlowTable:
     Observations are kept in segments, in observation order: lists of
     :class:`FlowObservation` (filled by :meth:`add` and :meth:`merge`)
     and packed segments — a shard's ``(pool, rows)`` exactly as
-    ``repro.pipeline.engine.pack_shard_result`` interned them, folded
-    in by :meth:`merge_packed` without building an object per row.
-    :meth:`observations` builds those objects only when asked.
+    ``repro.pipeline.engine.pack_shard_result`` encoded them (rows as
+    :data:`PACKED_ROW` records), folded in by :meth:`merge_packed`
+    without building an object per row.  A packed segment stays in
+    that encoding; :meth:`observations` builds objects only when
+    asked.
 
     The Table 4 grid, per-destination type sets and party labels are
     kept up to date on every fold.  The roll-ups only the downstream
@@ -96,7 +122,7 @@ class FlowTable:
         # The open list segment: add() appends here.  It is always the
         # last entry of _segments.
         self._observations: list[FlowObservation] = []
-        self._segments: list[list[FlowObservation] | tuple[tuple, tuple]] = [
+        self._segments: list[list[FlowObservation] | tuple[tuple, bytes]] = [
             self._observations
         ]
         self._sealed = 0  # observations in the segments before the open one
@@ -159,7 +185,7 @@ class FlowTable:
                 self._append_packed(segment)
                 # ``other``'s label for a key it observed is the one its
                 # last observation of that key set.
-                for s, fqdn in dict.fromkeys(map(_PARTY_KEY, rows)):
+                for s, fqdn in dict.fromkeys(zip(*_columns(rows, _SERVICE, _FQDN))):
                     key = (pool[s], pool[fqdn])
                     parties[key] = other._party_by_fqdn[key]
         for key, platforms in other._grid.items():
@@ -169,30 +195,35 @@ class FlowTable:
         for key, party in other._party_by_fqdn.items():
             parties.setdefault(key, party)
 
-    def merge_packed(self, pool: tuple, rows: tuple, parties: tuple) -> None:
+    def merge_packed(self, pool: tuple, rows: bytes, parties: bytes) -> None:
         """Fold one packed shard table into this one.
 
-        ``rows`` are observations as tuples of ``pool`` indexes, one
-        per :class:`FlowObservation` field in declaration order;
-        ``parties`` are ``(service, fqdn, party)`` index triples, the
-        shard table's party labels.  Equivalent to :meth:`merge` of
-        the table that adding every row and then registering every
-        party builds.  The per-row work is keyed on pool indexes: each
-        roll-up key is translated to values — and its enums hashed —
-        once per distinct index combination, not once per row.
+        ``rows`` are observations as :data:`PACKED_ROW` records of
+        ``pool`` indexes; ``parties`` are ``(service, fqdn, party)``
+        index triples (:func:`pack_indexes`), the shard table's party
+        labels.  Equivalent to :meth:`merge` of the table that adding
+        every row and then registering every party builds.  The table
+        keeps the rows as they are; they are unpacked once here, into
+        the index columns every pass reads.  The per-row work is keyed
+        on pool indexes: each roll-up key is translated to values — and
+        its enums hashed — once per distinct index combination, not
+        once per row.
         """
         if rows:
             self._append_packed((pool, rows))
+        services, columns, platforms, level3s, fqdns, row_parties = _columns(
+            rows, _SERVICE, _COLUMN, _PLATFORM, _LEVEL3, _FQDN, _PARTY
+        )
         level2_of = ONTOLOGY.level2_of
         for s, column, platform, level3, party in dict.fromkeys(
-            map(_GRID_FIELDS, rows)
+            zip(services, columns, platforms, level3s, row_parties)
         ):
             self._grid[
                 (pool[s], level2_of(pool[level3]), pool[column], cell_for(pool[party]))
             ].add(pool[platform])
-        third = {p for p in set(map(_PARTY, rows)) if pool[p].is_third_party}
+        third = {p for p in set(row_parties) if pool[p].is_third_party}
         for s, column, fqdn, level3, party in dict.fromkeys(
-            map(_DESTINATION_FIELDS, rows)
+            zip(services, columns, fqdns, level3s, row_parties)
         ):
             if party in third:
                 self._per_destination[(pool[s], pool[column], pool[fqdn])].add(
@@ -201,20 +232,19 @@ class FlowTable:
         # As add(): each observed key takes the label of its last row,
         # in first-seen order; then registrations fill in the rest.
         labels = self._party_by_fqdn
-        for (s, fqdn), party in dict(
-            zip(map(_PARTY_KEY, rows), map(_PARTY, rows))
-        ).items():
+        for (s, fqdn), party in dict(zip(zip(services, fqdns), row_parties)).items():
             labels[(pool[s], pool[fqdn])] = pool[party]
-        for s, fqdn, party in parties:
+        triples = unpack_indexes(parties)
+        for s, fqdn, party in zip(triples[::3], triples[1::3], triples[2::3]):
             labels.setdefault((pool[s], pool[fqdn]), pool[party])
 
-    def _append_packed(self, segment: tuple[tuple, tuple]) -> None:
+    def _append_packed(self, segment: tuple[tuple, bytes]) -> None:
         """Close the open list segment behind ``segment`` and open a new one."""
         if self._observations:
             self._sealed += len(self._observations)
         else:
             self._segments.pop()
-        self._sealed += len(segment[1])
+        self._sealed += len(segment[1]) // PACKED_ROW.size
         self._observations = []
         self._segments += (segment, self._observations)
 
@@ -229,7 +259,8 @@ class FlowTable:
             else:
                 pool, rows = segment
                 out.extend(
-                    FlowObservation(*map(pool.__getitem__, row)) for row in rows
+                    FlowObservation(*map(pool.__getitem__, row))
+                    for row in PACKED_ROW.iter_unpack(rows)
                 )
         return out
 
@@ -257,7 +288,7 @@ class FlowTable:
                 continue
             pool, rows = segment
             for (s, column, fqdn, party), n in Counter(
-                map(_CONTACT_FIELDS, rows)
+                zip(*_columns(rows, _SERVICE, _COLUMN, _FQDN, _PARTY))
             ).items():
                 if pool[party] is third_ats:
                     _count(contacts, pool[s], pool[column], pool[fqdn], n)
@@ -280,7 +311,9 @@ class FlowTable:
                 pool, rows = segment
                 pairs.update(
                     (pool[level3], pool[fqdn])
-                    for level3, fqdn in dict.fromkeys(map(_FLOW_PAIR, rows))
+                    for level3, fqdn in dict.fromkeys(
+                        zip(*_columns(rows, _LEVEL3, _FQDN))
+                    )
                 )
         return pairs
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.net.psl import esld as esld_of
 from repro.pipeline.corpus import ParsedTrace
@@ -46,13 +47,27 @@ class DatasetSummary:
     def merge(self, other: "DatasetSummary") -> None:
         """Fold another summary (e.g. one shard's slice) into this one."""
         for service, stats in other.per_service.items():
-            mine = self.per_service.setdefault(
-                service, ServiceDatasetStats(service=service)
+            self.add_counts(
+                service, stats.fqdns, stats.eslds, stats.packets, stats.tcp_flows
             )
-            mine.fqdns.update(stats.fqdns)
-            mine.eslds.update(stats.eslds)
-            mine.packets += stats.packets
-            mine.tcp_flows += stats.tcp_flows
+
+    def add_counts(
+        self,
+        service: str,
+        fqdns: Iterable[str],
+        eslds: Iterable[str],
+        packets: int,
+        tcp_flows: int,
+    ) -> None:
+        """Fold one service's slice in, given as its parts (a packed
+        shard result ships them without a summary object)."""
+        stats = self.per_service.setdefault(
+            service, ServiceDatasetStats(service=service)
+        )
+        stats.fqdns.update(fqdns)
+        stats.eslds.update(eslds)
+        stats.packets += packets
+        stats.tcp_flows += tcp_flows
 
     # -- totals (unique across services, as Table 1 footnotes) -----------
 

@@ -72,7 +72,12 @@ from repro.destinations.entities import EntityDatabase
 from repro.destinations.party import DestinationLabeler
 from repro.faults.plan import FAULTS_FIRED, FaultPlan
 from repro.flows.builder import FlowBuilder
-from repro.flows.dataflow import FlowTable
+from repro.flows.dataflow import (
+    PACKED_ROW,
+    FlowTable,
+    pack_indexes,
+    unpack_indexes,
+)
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import SpanRecorder
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
@@ -206,8 +211,7 @@ class ShardResult:
     flows: FlowTable
     dataset: DatasetSummary
     contacted: set[str]
-    raw_keys: set[str]
-    classified: set[str]  # unique keys this shard's builder classified
+    raw_keys: set[str]  # unique extracted keys; every one is classified
     owners: dict[str, str | None] = field(default_factory=dict)  # fqdn -> owner
     trace_count: int = 0
     cache_hits: int = 0
@@ -556,7 +560,6 @@ def process_shard(task: ShardTask) -> ShardResult:
         dataset=dataset,
         contacted=contacted,
         raw_keys=raw_keys,
-        classified=builder.classified_key_set(),
         owners=owners,
         trace_count=trace_count,
         cache_hits=cache.hits - hits_before + builder.lookup_hits,
@@ -575,28 +578,35 @@ def process_shard(task: ShardTask) -> ShardResult:
 
 @dataclass(slots=True)
 class PackedShardResult:
-    """A :class:`ShardResult` flattened for cheap pickling.
+    """A :class:`ShardResult` flattened for cheap pickling and storage.
 
     A raw ``ShardResult`` pickles its :class:`FlowTable` roll-ups
     (grid, per-destination sets, party map) alongside the observation
     list they are derived from, and every observation as an object
     with eight attribute slots.  The packed form interns every field
-    value — strings and enums alike — into one pool and encodes each
-    observation as eight pool indexes; roll-ups are dropped entirely.
-    Nothing unpacks it: :meth:`AuditEngine.merge` folds ``pool``,
-    ``observations`` and ``parties`` straight into the corpus table
+    value — strings and enums alike — into one pool and encodes
+    everything else as fixed-width pool indexes: each observation is
+    one :data:`repro.flows.dataflow.PACKED_ROW` record in
+    ``observations``, and each index set is one ``bytes``
+    (:func:`repro.flows.dataflow.pack_indexes`; pairs and triples run
+    flat).  Roll-ups are dropped entirely, and so is the dataset's
+    fqdn set, which equals ``contacted``.  This is the form a pool
+    worker ships and the unit store keeps.  Nothing unpacks it:
+    :meth:`AuditEngine.merge` folds ``pool``, ``observations`` and
+    ``parties`` straight into the corpus table
     (:meth:`FlowTable.merge_packed`), which keeps the rows as they are.
     """
 
     service: str
     pool: tuple
-    observations: tuple  # 8-index tuples into ``pool``
-    parties: tuple  # (service_i, fqdn_i, party_i) registrations
-    contacted: tuple  # pool indexes, original iteration order
-    raw_keys: tuple
-    classified: tuple
-    owners: tuple  # (fqdn_i, owner_i) pairs; owner interned too (may be None)
-    dataset: DatasetSummary
+    observations: bytes  # PACKED_ROW records
+    parties: bytes  # (service, fqdn, party) index triples: registrations
+    contacted: bytes  # original iteration order
+    raw_keys: bytes
+    owners: bytes  # (fqdn, owner) index pairs; owner interned too (may be None)
+    # (packets, tcp_flows, esld indexes) of the shard's dataset row;
+    # None when the shard decoded no trace and so has no row.
+    dataset: tuple[int, int, bytes] | None
     trace_count: int
     cache_hits: int
     cache_misses: int
@@ -614,18 +624,24 @@ class PackedShardResult:
 
 
 def pack_shard_result(result: ShardResult) -> PackedShardResult:
-    """Flatten one shard result into its compact transport form."""
+    """Flatten one shard result into its compact transport form.
+
+    A shard's dataset holds its own service's row only, whose fqdns
+    are the shard's contacted hosts; the packed form keeps the rest of
+    that row.
+    """
     indexes: dict = {}
 
-    def intern(value) -> int:
+    def intern(value: object) -> int:
         index = indexes.get(value)
         if index is None:
             index = len(indexes)
             indexes[value] = index
         return index
 
-    observations = tuple(
-        (
+    row = PACKED_ROW.pack
+    observations = b"".join(
+        row(
             intern(o.service),
             intern(o.column),
             intern(o.platform),
@@ -637,23 +653,35 @@ def pack_shard_result(result: ShardResult) -> PackedShardResult:
         )
         for o in result.flows.observations()
     )
-    parties = tuple(
-        (intern(service), intern(fqdn), intern(party))
-        for (service, fqdn), party in result.flows._party_by_fqdn.items()
+    parties = pack_indexes(
+        [
+            index
+            for (service, fqdn), party in result.flows._party_by_fqdn.items()
+            for index in (intern(service), intern(fqdn), intern(party))
+        ]
     )
+    stats = result.dataset.per_service.get(result.service)
     packed = PackedShardResult(
         service=result.service,
         pool=(),  # filled below, once the intern table is complete
         observations=observations,
         parties=parties,
-        contacted=tuple(intern(host) for host in result.contacted),
-        raw_keys=tuple(intern(key) for key in result.raw_keys),
-        classified=tuple(intern(key) for key in result.classified),
-        owners=tuple(
-            (intern(fqdn), intern(owner))
-            for fqdn, owner in result.owners.items()
+        contacted=pack_indexes([intern(host) for host in result.contacted]),
+        raw_keys=pack_indexes([intern(key) for key in result.raw_keys]),
+        owners=pack_indexes(
+            [
+                index
+                for fqdn, owner in result.owners.items()
+                for index in (intern(fqdn), intern(owner))
+            ]
         ),
-        dataset=result.dataset,
+        dataset=None
+        if stats is None
+        else (
+            stats.packets,
+            stats.tcp_flows,
+            pack_indexes([intern(esld) for esld in stats.eslds]),
+        ),
         trace_count=result.trace_count,
         cache_hits=result.cache_hits,
         cache_misses=result.cache_misses,
@@ -701,7 +729,10 @@ def _decode_unit_payload(payload: bytes, service: str) -> PackedShardResult | No
     :class:`PackedShardResult` for the right service — truncated blob,
     bit rot, a hand-edited store — is reported as undecodable; the
     caller deletes the row and treats the unit as dirty, so the worst
-    a damaged row can cost is one recomputation.
+    a damaged row can cost is one recomputation.  So is one that
+    unpickles but whose index fields are not whole records of indexes
+    into its pool (:func:`_packed_indexes_valid`): folding it would
+    fail, or read the wrong values, mid-merge.
     """
     try:
         packed = pickle.loads(payload)
@@ -719,7 +750,36 @@ def _decode_unit_payload(payload: bytes, service: str) -> PackedShardResult | No
         return None
     if not isinstance(packed, PackedShardResult) or packed.service != service:
         return None
-    return packed
+    return packed if _packed_indexes_valid(packed) else None
+
+
+def _packed_indexes_valid(packed: PackedShardResult) -> bool:
+    """Whether every index field of ``packed`` is a ``bytes`` of whole
+    records whose indexes all fall inside its pool.
+
+    The indexes are unpacked into one temporary tuple for the bound
+    check; no object built here outlives it.
+    """
+    # (field, record width in bytes); one index is 4 bytes.
+    fields = [
+        (packed.observations, PACKED_ROW.size),
+        (packed.parties, 3 * 4),
+        (packed.contacted, 4),
+        (packed.raw_keys, 4),
+        (packed.owners, 2 * 4),
+    ]
+    dataset = packed.dataset
+    if dataset is not None:
+        if not (isinstance(dataset, tuple) and len(dataset) == 3):
+            return False
+        fields.append((dataset[2], 4))
+    if not isinstance(packed.pool, tuple) or any(
+        not isinstance(data, bytes) or len(data) % width
+        for data, width in fields
+    ):
+        return False
+    indexes = b"".join(data for data, _ in fields)
+    return not indexes or max(unpack_indexes(indexes)) < len(packed.pool)
 
 
 # ----------------------------------------------------------------------
@@ -1458,14 +1518,14 @@ class AuditEngine:
         service result would be — contacted sets union, counters sum.
         A packed result (a pool worker's, or a cached unit's) folds
         as the in-process result it was packed from would: its rows
-        go into the corpus table as they are, and its interned sets
-        are read through its pool.
+        go into the corpus table as they are, and its index sets are
+        read through its pool.  Every extracted key is classified, so
+        the classified-key count is the number of raw keys.
         """
         flows = FlowTable()
         dataset = DatasetSummary()
         contacted: dict[str, set[str]] = {}
         raw_keys: set[str] = set()
-        classified: set[str] = set()
         owners: dict[tuple[str, str], str | None] = {}
         trace_count = 0
         hits = misses = store_hits = store_misses = 0
@@ -1475,19 +1535,28 @@ class AuditEngine:
             if isinstance(result, PackedShardResult):
                 pool = result.pool
                 flows.merge_packed(pool, result.observations, result.parties)
-                hosts.update(pool[i] for i in result.contacted)
-                raw_keys.update(pool[i] for i in result.raw_keys)
-                classified.update(pool[i] for i in result.classified)
-                for fqdn_i, owner_i in result.owners:
+                shard_hosts = [pool[i] for i in unpack_indexes(result.contacted)]
+                hosts.update(shard_hosts)
+                raw_keys.update(pool[i] for i in unpack_indexes(result.raw_keys))
+                pairs = unpack_indexes(result.owners)
+                for fqdn_i, owner_i in zip(pairs[::2], pairs[1::2]):
                     owners[(result.service, pool[fqdn_i])] = pool[owner_i]
+                if result.dataset is not None:
+                    packets, tcp_flows, eslds = result.dataset
+                    dataset.add_counts(
+                        result.service,
+                        shard_hosts,
+                        (pool[i] for i in unpack_indexes(eslds)),
+                        packets,
+                        tcp_flows,
+                    )
             else:
                 flows.merge(result.flows)
                 hosts.update(result.contacted)
                 raw_keys.update(result.raw_keys)
-                classified.update(result.classified)
                 for fqdn, owner in result.owners.items():
                     owners[(result.service, fqdn)] = owner
-            dataset.merge(result.dataset)
+                dataset.merge(result.dataset)
             trace_count += result.trace_count
             hits += result.cache_hits
             misses += result.cache_misses
@@ -1499,7 +1568,7 @@ class AuditEngine:
             dataset=dataset,
             contacted=contacted,
             raw_keys=raw_keys,
-            classified_keys=len(classified),
+            classified_keys=len(raw_keys),
             owners=owners,
             trace_count=trace_count,
             cache_hits=hits,
@@ -1622,7 +1691,7 @@ class AuditEngine:
                 dirty_digests.append(digest)
             if corrupt:
                 try:
-                    store.delete_unit_results(corrupt)
+                    store.delete_unit_results(epoch, corrupt)
                 # repro-lint: disable=X-SWALLOW — quarantine cleanup is cosmetic; undeleted corrupt rows stay invisible to lookups anyway
                 except StoreError:
                     pass

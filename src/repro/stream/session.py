@@ -119,7 +119,6 @@ class _ServiceStreamState:
             dataset=self.dataset,
             contacted=self.contacted,
             raw_keys=self.raw_keys,
-            classified=self.builder.classified_key_set(),
             owners=owners,
             trace_count=self.trace_count,
         )

@@ -1,5 +1,6 @@
 """Unit tests for the parallel sharded audit engine."""
 
+import dataclasses
 import json
 import pickle
 
@@ -10,7 +11,12 @@ from repro import CorpusConfig, DiffAudit
 from repro.datatypes.base import Classification
 from repro.datatypes.cache import CachingClassifier
 from repro.destinations.party import PartyLabel
-from repro.flows.dataflow import FlowObservation, FlowTable
+from repro.flows.dataflow import (
+    FlowObservation,
+    FlowTable,
+    pack_indexes,
+    unpack_indexes,
+)
 from repro.linkability.alluvial import alluvial_edges
 from repro.linkability.analysis import (
     destination_census,
@@ -22,9 +28,11 @@ from repro.ontology.nodes import Level3
 from repro.pipeline.dataset import DatasetSummary, ServiceDatasetStats
 from repro.pipeline.engine import (
     AuditEngine,
+    PackedShardResult,
     ProcessPoolShardExecutor,
     SequentialExecutor,
     ShardResult,
+    _decode_unit_payload,
     executor_for,
     generate_corpus_artifacts,
     pack_shard_result,
@@ -465,8 +473,9 @@ class TestPackedShardResult:
         assert folded.flows._party_by_fqdn == direct.flows._party_by_fqdn
         assert folded.contacted == direct.contacted
         assert folded.raw_keys == direct.raw_keys
-        assert {packed.pool[i] for i in packed.classified} == shard_result.classified
         assert folded.classified_keys == direct.classified_keys
+        assert folded.classified_keys == len(direct.raw_keys)
+        assert folded.dataset == direct.dataset
         assert folded.owners == direct.owners
         assert folded.trace_count == direct.trace_count
         assert folded.cache_hits == direct.cache_hits
@@ -515,26 +524,26 @@ _observations = st.builds(
 )
 
 
+_registrations = st.tuples(st.sampled_from(_FQDNS), st.sampled_from(list(PartyLabel)))
+
+
 @st.composite
 def _units(draw):
     """Units ``(service, observations, registrations, register_first,
     packed)``.  Registrations may name hosts the unit never observed;
     ``register_first`` registers before adding, as a stream snapshot
     taken mid-trace does.  Observations often repeat, within a unit
-    and across units, as a trace's requests do."""
+    and across units, as a trace's requests do.  Every draw also
+    holds, at drawn positions, a unit with no rows and no parties and
+    one whose parties are all registered-only."""
     palette = draw(st.lists(_observations, min_size=1, max_size=6))
     observation = st.one_of(st.sampled_from(palette), _observations)
-    return draw(
+    units = draw(
         st.lists(
             st.tuples(
                 st.sampled_from(_SERVICES),
                 st.lists(observation, max_size=12),
-                st.lists(
-                    st.tuples(
-                        st.sampled_from(_FQDNS), st.sampled_from(list(PartyLabel))
-                    ),
-                    max_size=3,
-                ),
+                st.lists(_registrations, max_size=3),
                 st.booleans(),
                 st.booleans(),
             ),
@@ -542,6 +551,11 @@ def _units(draw):
             max_size=6,
         )
     )
+    for registrations in ([], draw(st.lists(_registrations, min_size=1, max_size=3))):
+        service = draw(st.sampled_from(_SERVICES))
+        unit = (service, [], registrations, False, draw(st.booleans()))
+        units.insert(draw(st.integers(0, len(units))), unit)
+    return units
 
 
 def _unit_result(service, observations, registrations, register_first):
@@ -553,13 +567,23 @@ def _unit_result(service, observations, registrations, register_first):
     if register_first:
         flows.extend(observations)
     contacted = {o.fqdn for o in observations} | {f for f, _ in registrations}
+    # As process_shard: a unit that contacted nothing decoded no
+    # trace, and a dataset row's fqdns are the contacted hosts.
+    dataset = DatasetSummary()
+    if contacted:
+        dataset.per_service[service] = ServiceDatasetStats(
+            service=service,
+            fqdns=set(contacted),
+            eslds={fqdn.split(".", 1)[1] for fqdn in contacted},
+            packets=3 * len(observations),
+            tcp_flows=len(registrations),
+        )
     return ShardResult(
         service=service,
         flows=flows,
-        dataset=DatasetSummary(),
+        dataset=dataset,
         contacted=contacted,
         raw_keys={o.raw_key for o in observations},
-        classified={o.raw_key for o in observations if o.raw_key},
         owners={fqdn: _OWNERS.get(fqdn) for fqdn in contacted},
         trace_count=1,
         cache_hits=len(observations),
@@ -568,7 +592,12 @@ def _unit_result(service, observations, registrations, register_first):
 
 
 def _round_trip(result):
-    return pickle.loads(pickle.dumps(pack_shard_result(result)))
+    """``result`` through a pool worker's or the unit store's bytes."""
+    packed = _decode_unit_payload(
+        pickle.dumps(pack_shard_result(result)), result.service
+    )
+    assert packed is not None
+    return packed
 
 
 class TestPackedFold:
@@ -602,6 +631,10 @@ class TestPackedFold:
             assert merged.raw_keys == reference.raw_keys
             assert merged.classified_keys == reference.classified_keys
             assert merged.owners == reference.owners
+            assert merged.dataset == reference.dataset
+            assert list(merged.dataset.per_service) == list(
+                reference.dataset.per_service
+            )
             assert merged.trace_count == reference.trace_count
             assert merged.cache_hits == reference.cache_hits
         assert self._views(reference, again, owner_of) == expected
@@ -632,6 +665,60 @@ class TestPackedFold:
             "common_set": most_common_linkable_set(flows),
             "census": destination_census(flows, merged.contacted, owner_of),
         }
+
+
+# Every index field of a packed result, with its pool indexes per
+# record; "dataset" is the dataset row's esld set.
+_INDEX_FIELDS = (
+    ("observations", 8),
+    ("parties", 3),
+    ("contacted", 1),
+    ("raw_keys", 1),
+    ("owners", 2),
+    ("dataset", 1),
+)
+
+
+def _index_field(packed, name):
+    if name == "dataset":
+        return packed.dataset[2] if packed.dataset is not None else b""
+    return getattr(packed, name)
+
+
+def _with_index_field(packed, name, data):
+    if name == "dataset":
+        packets, tcp_flows, _ = packed.dataset
+        return dataclasses.replace(packed, dataset=(packets, tcp_flows, data))
+    return dataclasses.replace(packed, **{name: data})
+
+
+class TestPackedDecodeValidation:
+    """A stored payload whose index fields are damaged never decodes:
+    the unit store treats it as corrupt and recomputes the unit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_units(), st.data())
+    def test_out_of_pool_index_or_partial_record_is_refused(self, units, data):
+        packed_units = [pack_shard_result(_unit_result(*unit[:4])) for unit in units]
+        for packed in packed_units:
+            decoded = _decode_unit_payload(pickle.dumps(packed), packed.service)
+            assert isinstance(decoded, PackedShardResult)
+        damageable = [
+            p for p in packed_units if any(_index_field(p, n) for n, _ in _INDEX_FIELDS)
+        ]
+        packed = data.draw(st.sampled_from(damageable))
+        name, width = data.draw(
+            st.sampled_from([f for f in _INDEX_FIELDS if _index_field(packed, f[0])])
+        )
+        original = _index_field(packed, name)
+        if data.draw(st.booleans(), label="bump an index"):
+            indexes = list(unpack_indexes(original))
+            indexes[data.draw(st.integers(0, len(indexes) - 1))] = len(packed.pool)
+            damaged = pack_indexes(indexes)
+        else:
+            damaged = original[: -data.draw(st.integers(1, 4 * width - 1))]
+        payload = pickle.dumps(_with_index_field(packed, name, damaged))
+        assert _decode_unit_payload(payload, packed.service) is None
 
 
 class TestEngineParity:

@@ -18,6 +18,7 @@ Three layers of guarantees, each with its own test class:
 """
 
 import dataclasses
+import pickle
 import shutil
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.datatypes.store import (
     unit_result_epoch,
 )
 from repro.capture.base import TraceMeta
+from repro.flows.dataflow import PACKED_ROW
 from repro.model import AgeGroup, Platform, TraceKind
 from repro.pipeline.engine import generate_corpus_artifacts
 from repro.pipeline.replay import (
@@ -260,6 +262,30 @@ class TestMutationInvalidation:
         assert off_json == cold_json
 
 
+def _repacked(payload: bytes, **fields) -> bytes:
+    packed = pickle.loads(payload)
+    assert packed.observations, "the victim unit must have flow rows"
+    return pickle.dumps(dataclasses.replace(packed, **fields))
+
+
+def _fqdn_index_past_pool(payload: bytes) -> bytes:
+    """The stored result with its first row's fqdn index one past its
+    pool: it still unpickles, but folding it cannot work."""
+    packed = pickle.loads(payload)
+    row = list(PACKED_ROW.unpack_from(packed.observations))
+    row[4] = len(packed.pool)  # FlowObservation.fqdn
+    rows = PACKED_ROW.pack(*row) + packed.observations[PACKED_ROW.size :]
+    return _repacked(payload, observations=rows)
+
+
+def _rows_cut_mid_row(payload: bytes) -> bytes:
+    """The stored result with its row buffer cut half a row short."""
+    packed = pickle.loads(payload)
+    return _repacked(
+        payload, observations=packed.observations[: -PACKED_ROW.size // 2]
+    )
+
+
 class TestUnitResultStoreUX:
     EPOCH = unit_result_epoch("clf", 0.8)
 
@@ -298,6 +324,19 @@ class TestUnitResultStoreUX:
             assert store.get_unit_results(other, ["d"]) == {}
             assert store.get_unit_results(self.EPOCH, ["d"]) == {"d": b"a"}
 
+    def test_epoch_and_schema_scope_deletes(self, tmp_path):
+        other = unit_result_epoch("clfB", 0.9)
+        with ClassificationStore(tmp_path / "s.sqlite") as store:
+            store.put_unit_results(self.EPOCH, [("d", "svc", b"a")])
+            store.put_unit_results(other, [("d", "svc", b"b")])
+            store.put_unit_results(self.EPOCH, [("d", "svc", b"c")], schema_version=0)
+            assert store.delete_unit_results(self.EPOCH, ["d"]) == 1
+            assert store.get_unit_results(self.EPOCH, ["d"]) == {}
+            assert store.get_unit_results(other, ["d"]) == {"d": b"b"}
+            assert store.get_unit_results(self.EPOCH, ["d"], schema_version=0) == {
+                "d": b"c"
+            }
+
     def test_clear_also_drops_unit_results(self, tmp_path):
         with ClassificationStore(tmp_path / "s.sqlite") as store:
             store.put_unit_results(self.EPOCH, [("d", "svc", b"a")])
@@ -307,27 +346,45 @@ class TestUnitResultStoreUX:
     def test_corrupt_row_costs_one_recompute_and_is_replaced(
         self, pristine_corpus, tmp_path, monkeypatch
     ):
-        cache = tmp_path / "cache"
-        cold_json, cold_engine = _audit(pristine_corpus, cache)
-        total = cold_engine["unit_misses"]
-        corpus = ReplayCorpus.scan(pristine_corpus)
-        victim = corpus.units[0]
+        # Each case is one damaged payload for the victim's row: one
+        # that does not unpickle, and two that do but cannot be folded.
+        cases = [
+            ("not-a-pickle", lambda payload: b"not a pickle"),
+            ("fqdn-index-past-pool", _fqdn_index_past_pool),
+            ("rows-cut-mid-row", _rows_cut_mid_row),
+        ]
+        victim = ReplayCorpus.scan(pristine_corpus).units_for("tiktok")[0]
         digest = unit_digest(victim)
         epoch = unit_result_epoch("gpt4-majority-avg", 0.8)
-        with ClassificationStore(store_path_for(cache)) as store:
-            store.put_unit_results(
-                epoch, [(digest, victim.meta.service, b"not a pickle")]
-            )
-        spy = _ShardSpy(monkeypatch)
-        warm_json, warm_engine = _audit(pristine_corpus, cache)
-        assert spy.units == [victim.meta.name]
-        assert warm_engine["unit_misses"] == 1
-        assert warm_engine["unit_hits"] == total - 1
-        assert warm_json == cold_json
-        # The quarantined row was replaced with a servable payload:
-        # the next run is fully warm again.
-        spy2 = _ShardSpy(monkeypatch)
-        again_json, again_engine = _audit(pristine_corpus, cache)
-        assert spy2.calls == 0
-        assert again_engine["unit_hits"] == total
-        assert again_json == cold_json
+        # The victim's healthy row under another configuration must
+        # outlive the quarantine: switching back re-hits it.
+        other_epoch = unit_result_epoch("gpt4-majority-avg", 0.9)
+        for case, damage in cases:
+            cache = tmp_path / case
+            cold_json, cold_engine = _audit(pristine_corpus, cache)
+            total = cold_engine["unit_misses"]
+            with ClassificationStore(store_path_for(cache)) as store:
+                (payload,) = store.get_unit_results(epoch, [digest]).values()
+                store.put_unit_results(
+                    epoch, [(digest, victim.meta.service, damage(payload))]
+                )
+                store.put_unit_results(
+                    other_epoch, [(digest, victim.meta.service, payload)]
+                )
+            spy = _ShardSpy(monkeypatch)
+            warm_json, warm_engine = _audit(pristine_corpus, cache)
+            assert spy.units == [victim.meta.name], case
+            assert warm_engine["unit_misses"] == 1, case
+            assert warm_engine["unit_hits"] == total - 1, case
+            assert warm_json == cold_json, case
+            with ClassificationStore(store_path_for(cache)) as store:
+                assert store.get_unit_results(other_epoch, [digest]) == {
+                    digest: payload
+                }, case
+            # The quarantined row was replaced with a servable payload:
+            # the next run is fully warm again.
+            spy2 = _ShardSpy(monkeypatch)
+            again_json, again_engine = _audit(pristine_corpus, cache)
+            assert spy2.calls == 0, case
+            assert again_engine["unit_hits"] == total, case
+            assert again_json == cold_json, case
