@@ -132,6 +132,13 @@ class ShardTask:
     balances.  ``estimated_cost`` is the scheduler's relative cost
     guess, used only for splitting and largest-first submission.
 
+    In an incremental run a task covers one run of consecutive dirty
+    units of its service (or a sub-shard of one), and ``unit_digests``
+    maps each unit's name to its content digest: the task then stores
+    every unit's result under ``epoch`` itself when it finishes (see
+    :func:`process_shard`).  The map is keyed by name, so sub-shards,
+    bisection halves and crash remainders carry it unsliced.
+
     ``classifier``, ``entity_db`` and ``blocklists`` may be ``None``,
     meaning "the defaults": the worker rebuilds them locally (memoized
     per process) instead of the parent pickling the full default stack
@@ -165,6 +172,8 @@ class ShardTask:
     # retrying process pool bumps it on resubmission so transient
     # injected kills don't re-fire and recovery terminates.
     fault_attempt: int = 0
+    unit_digests: dict[str, str] | None = None  # unit name -> digest
+    epoch: str = ""  # unit-result epoch (repro.datatypes.store)
 
 
 @dataclass(slots=True, frozen=True)
@@ -427,7 +436,35 @@ def _apply_worker_faults(task: ShardTask) -> None:
         time.sleep(delay)
 
 
-def process_shard(task: ShardTask) -> ShardResult:
+#: Unit stores this process has already warned it could not write.
+_UNWRITABLE_STORES: set[Path] = set()
+
+
+def _put_unit_results(
+    persistent: PersistentClassifier | None,
+    epoch: str,
+    rows: list[tuple[str, str, bytes]],
+) -> None:
+    """Store one task's unit rows; best-effort by contract.
+
+    A failed write never changes the audit's output — the next run
+    just recomputes the units whose rows are missing — so it warns,
+    once per process and store, and carries on.
+    """
+    if persistent is None or not rows:
+        return
+    try:
+        persistent.store.put_unit_results(epoch, rows)
+    except StoreError as exc:
+        if persistent.path not in _UNWRITABLE_STORES:
+            _UNWRITABLE_STORES.add(persistent.path)
+            print(
+                f"warning: could not persist unit results: {exc}",
+                file=sys.stderr,
+            )
+
+
+def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
     """Run capture → parse → classify → flow-build for one service.
 
     Two passes over the shard: the first pass drains the trace source
@@ -441,6 +478,16 @@ def process_shard(task: ShardTask) -> ShardResult:
     second pass builds flows from the retained pairs; every lookup is
     an in-memory hit.  Wall time is attributed per stage in
     ``ShardResult.stage_times``.
+
+    A task with ``unit_digests`` (an incremental run's dirty units)
+    runs the same setup and the same single descent, but keeps each
+    unit's flows, dataset row, contacted hosts, raw keys and owners
+    apart: exactly what a one-unit task computes.  It packs each
+    unit's result once, writes them all to the unit store in one call
+    through its own classifier stack's store, and returns them in
+    unit order, followed by one result with no rows that carries the
+    task's counters, stage times and quarantined units.  Stored rows
+    carry none of those; a quarantined unit has no result at all.
     """
     _apply_worker_faults(task)
     timer = StageTimer()
@@ -472,14 +519,22 @@ def process_shard(task: ShardTask) -> ShardResult:
             classifier=cache, confidence_threshold=task.confidence_threshold
         )
 
-    flows = FlowTable()
-    dataset = DatasetSummary()
-    contacted: set[str] = set()
-    raw_keys: set[str] = set()
-    trace_count = 0
-    # Per trace: (platform, kind, age, [(fqdn, keys), ...]) — all the
-    # flow-building pass needs once keys are extracted.
-    trace_plans: list[tuple[object, object, object, list[tuple[str, list[str]]]]] = []
+    def empty() -> ShardResult:
+        return ShardResult(
+            task.service, FlowTable(), DatasetSummary(), set(), set()
+        )
+
+    # Every trace folds into the last of ``targets``: the shard's one
+    # result, or with unit digests a fresh result per trace (unit).
+    shard = empty()
+    digests = task.unit_digests
+    targets = [shard] if digests is None else []
+    names: list[str] = []  # with unit digests: each target's unit
+    # Per trace: (target, platform, kind, age, [(fqdn, keys), ...]) —
+    # all the flow-building pass needs once keys are extracted.
+    trace_plans: list[
+        tuple[ShardResult, object, object, object, list[tuple[str, list[str]]]]
+    ] = []
     key_lists: list[list[str]] = []
 
     degraded: list[DegradedUnit] = []
@@ -495,10 +550,14 @@ def process_shard(task: ShardTask) -> ShardResult:
             parsed = next(source, None)
         if parsed is None:
             break
-        trace_count += 1
+        if digests is not None:
+            targets.append(empty())
+            names.append(parsed.meta.name)
+        target = targets[-1]
+        target.trace_count += 1
         with timer.stage("dataset"):
-            dataset.add_trace(parsed)
-            contacted.update(parsed.contacted_hosts())
+            target.dataset.add_trace(parsed)
+            target.contacted.update(parsed.contacted_hosts())
         with timer.stage("extract"):
             requests: list[tuple[str, list[str]]] = []
             trace_keys: list[str] = []
@@ -508,16 +567,15 @@ def process_shard(task: ShardTask) -> ShardResult:
                 ]
                 requests.append((request.url.fqdn, keys))
                 trace_keys.extend(keys)
-                raw_keys.update(keys)
+                target.raw_keys.update(keys)
         with timer.stage("label"):
             # Opaque flows still label their destinations (party/ATS
             # classification does not need plaintext).
             for host in parsed.opaque_hosts:
                 if host:
                     labeler.label(host)
-        trace_plans.append(
-            (parsed.meta.platform, parsed.meta.kind, parsed.meta.age, requests)
-        )
+        meta = parsed.meta
+        trace_plans.append((target, meta.platform, meta.kind, meta.age, requests))
         key_lists.append(trace_keys)
 
     # One classification descent for the whole shard.  Equivalent to
@@ -527,7 +585,7 @@ def process_shard(task: ShardTask) -> ShardResult:
         builder.prime_sequence(key_lists)
 
     with timer.stage("flow_build"):
-        for platform, kind, age, requests in trace_plans:
+        for target, platform, kind, age, requests in trace_plans:
             for fqdn, keys in requests:
                 observations = builder.flows_for_destination(
                     fqdn,
@@ -538,37 +596,47 @@ def process_shard(task: ShardTask) -> ShardResult:
                     age=age,
                     keys=keys,
                 )
-                flows.extend(observations)
+                target.flows.extend(observations)
 
     # Register parties (and owners, for the census/alluvial lookups
     # downstream) for every contacted host so destination-only
     # (opaque) contacts count too.
     with timer.stage("label"):
-        owners: dict[str, str | None] = {}
-        for host in contacted:
-            label = labeler.label(host)
-            flows.register_party(task.service, host, label.party)
-            owners[host] = label.owner
+        for target in targets:
+            for host in target.contacted:
+                label = labeler.label(host)
+                target.flows.register_party(task.service, host, label.party)
+                target.owners[host] = label.owner
 
     if persistent is not None:
         timer.add("store_get", persistent.store_get_s - store_get_before)
         timer.add("store_put", persistent.store_put_s - store_put_before)
 
-    return ShardResult(
-        service=task.service,
-        flows=flows,
-        dataset=dataset,
-        contacted=contacted,
-        raw_keys=raw_keys,
-        owners=owners,
-        trace_count=trace_count,
-        cache_hits=cache.hits - hits_before + builder.lookup_hits,
-        cache_misses=cache.misses - misses_before,
-        store_hits=(persistent.store_hits - store_hits_before) if persistent else 0,
-        store_misses=(persistent.misses - store_misses_before) if persistent else 0,
-        stage_times=timer.times,
-        degraded=degraded,
-    )
+    shard.cache_hits = cache.hits - hits_before + builder.lookup_hits
+    shard.cache_misses = cache.misses - misses_before
+    if persistent is not None:
+        shard.store_hits = persistent.store_hits - store_hits_before
+        shard.store_misses = persistent.misses - store_misses_before
+    shard.stage_times = timer.times
+    shard.degraded = degraded
+    if digests is None:
+        return shard
+    # Let the working state and each unpacked table go before the rows
+    # are pickled, as a plain shard's do before it is packed.
+    trace_plans.clear()
+    key_lists.clear()
+    units = [pack_shard_result(target) for target in targets]
+    targets.clear()
+    with timer.stage("store_put"):
+        _put_unit_results(
+            persistent,
+            task.epoch,
+            [
+                (digests[name], task.service, pickle.dumps(unit))
+                for name, unit in zip(names, units)
+            ],
+        )
+    return units + [pack_shard_result(shard)]
 
 
 # ----------------------------------------------------------------------
@@ -694,11 +762,15 @@ def pack_shard_result(result: ShardResult) -> PackedShardResult:
     return packed
 
 
-def _process_shard_packed(task: ShardTask) -> PackedShardResult:
+def _process_shard_packed(
+    task: ShardTask,
+) -> PackedShardResult | list[PackedShardResult]:
     """Pool-worker entry point: process a shard, ship it packed.
 
-    In a real pool worker the task's metrics delta rides back on the
-    packed result: the worker registry is reset before the task (pool
+    A dirty-unit task's results are packed already (see
+    :func:`process_shard`); the last of them is the task's own.  In a
+    real pool worker the task's metrics delta rides back on that
+    result: the worker registry is reset before the task (pool
     workers run tasks serially, so the end-of-task snapshot IS the
     delta) and absorbed parent-side in canonical order.  When this
     function runs in the *parent* (single-task shortcut, crash
@@ -711,9 +783,11 @@ def _process_shard_packed(task: ShardTask) -> PackedShardResult:
     in_pool_worker = multiprocessing.parent_process() is not None
     if in_pool_worker:
         REGISTRY.reset()
-    packed = pack_shard_result(process_shard(task))
+    result = process_shard(task)
+    packed = pack_shard_result(result) if isinstance(result, ShardResult) else result
     if in_pool_worker:
-        packed.metrics = REGISTRY.snapshot()
+        own = packed[-1] if isinstance(packed, list) else packed
+        own.metrics = REGISTRY.snapshot()
     return packed
 
 
@@ -1028,10 +1102,7 @@ class ShardExecutor(Protocol):
     jobs: int
 
     def map_shards(
-        self,
-        tasks: list,
-        work: Callable = process_shard,
-        on_result: Callable | None = None,
+        self, tasks: list, work: Callable = process_shard
     ) -> list:  # pragma: no cover
         ...
 
@@ -1051,20 +1122,6 @@ class ShardCrash:
     error: str
 
 
-def _invoke_on_result(on_result: Callable | None, index: int, result) -> None:
-    """Deliver one completed raw result to the caller's flush hook.
-
-    ``on_result(index, result)`` fires parent-side as results land, in
-    completion order — the engine uses it to persist per-unit results
-    the moment they exist, so a SIGKILL later in the run loses nothing
-    already computed.  Hooks are best-effort observers: they must not
-    raise (the engine's hook swallows into a warning itself), and they
-    never see :class:`ShardCrash` sentinels.
-    """
-    if on_result is not None and not isinstance(result, ShardCrash):
-        on_result(index, result)
-
-
 @dataclass
 class SequentialExecutor:
     """In-process execution — the deterministic, zero-overhead fallback."""
@@ -1072,18 +1129,8 @@ class SequentialExecutor:
     kind = "sequential"
     jobs: int = 1
 
-    def map_shards(
-        self,
-        tasks: list,
-        work: Callable = process_shard,
-        on_result: Callable | None = None,
-    ) -> list:
-        results = []
-        for index, task in enumerate(tasks):
-            result = work(task)
-            _invoke_on_result(on_result, index, result)
-            results.append(result)
-        return results
+    def map_shards(self, tasks: list, work: Callable = process_shard) -> list:
+        return [work(task) for task in tasks]
 
 
 #: How often a pool worker checks that the process that started it is
@@ -1166,14 +1213,9 @@ class ProcessPoolShardExecutor:
     # isolation for exactly one task.
     isolate_single: bool = False
 
-    def map_shards(
-        self,
-        tasks: list,
-        work: Callable = process_shard,
-        on_result: Callable | None = None,
-    ) -> list:
+    def map_shards(self, tasks: list, work: Callable = process_shard) -> list:
         if len(tasks) <= 1 and not self.isolate_single:
-            return SequentialExecutor().map_shards(tasks, work, on_result)
+            return SequentialExecutor().map_shards(tasks, work)
         results: list = [None] * len(tasks)
         current: dict[int, object] = dict(enumerate(tasks))
         pending = list(current)
@@ -1212,14 +1254,12 @@ class ProcessPoolShardExecutor:
                             task, fault_attempt=attempt
                         )
             if attempt == 0:
-                pending = self._run_attempt(current, work, results, on_result)
+                pending = self._run_attempt(current, work, results)
             else:
                 pending = [
                     index
                     for index in pending
-                    if self._run_attempt(
-                        {index: current[index]}, work, results, on_result
-                    )
+                    if self._run_attempt({index: current[index]}, work, results)
                 ]
         for index in pending:
             results[index] = ShardCrash(
@@ -1233,11 +1273,7 @@ class ProcessPoolShardExecutor:
         return results
 
     def _run_attempt(
-        self,
-        slots: dict[int, object],
-        work: Callable,
-        results: list,
-        on_result: Callable | None,
+        self, slots: dict[int, object], work: Callable, results: list
     ) -> list[int]:
         """One pool generation over ``slots``; returns crashed indexes.
 
@@ -1282,8 +1318,6 @@ class ProcessPoolShardExecutor:
                         # in this generation; collect them all and let
                         # the caller retry in a fresh pool.
                         failed.append(index)
-                        continue
-                    _invoke_on_result(on_result, index, results[index])
             # repro-lint: disable=X-BARE-EXCEPT — teardown guard: terminate pool workers on ANY interrupt (incl. KeyboardInterrupt), then re-raise unchanged
             except BaseException:
                 # Snapshot the worker list first — shutdown(wait=False)
@@ -1330,8 +1364,9 @@ def _isolate_poison_units(task: ShardTask, work: Callable) -> list[TraceUnit]:
     die in a child, never in the parent).  Halves that survive are
     clean; halves that crash recurse.  A singleton that crashes IS the
     poison.  O(k·log n) probe launches for k poison units — the probes
-    exist to *identify* them, their results are discarded; the caller
-    reruns the clean remainder in-process.
+    exist to *identify* them, their results are discarded (a clean
+    dirty-unit half has stored its unit rows, as its rerun will); the
+    caller reruns the clean remainder in-process.
     """
     units = task.replay_units or ()
     if len(units) <= 1:
@@ -1637,21 +1672,21 @@ class AuditEngine:
         store: ClassificationStore,
         epoch: str,
         timer: StageTimer,
-    ) -> tuple[list[PackedShardResult | None], list[ShardTask], list[str]] | None:
+    ) -> tuple[list[PackedShardResult | str], list[ShardTask]] | None:
         """Split replay tasks into cached unit results and dirty tasks.
 
-        Returns ``(slots, dirty_tasks, dirty_digests)`` — ``slots`` has
-        one entry per trace unit in canonical order (service-spec
-        order, then unit order): a cached packed result, or ``None``
-        meaning "take the next dirty task's result".  Every dirty unit
-        becomes its own single-unit :class:`ShardTask` so its result is
-        individually cacheable for the next run.  ``None`` (the whole
-        return) means the store failed mid-partition and the caller
-        should fall back to full recompute.
+        Returns ``(slots, dirty_tasks)`` — ``slots`` has one entry per
+        trace unit in canonical order (service-spec order, then unit
+        order): a cached packed result, or the name of a dirty unit.
+        Each run of consecutive dirty units of a service becomes one
+        :class:`ShardTask` carrying its units' digests, so a cold run
+        starts from the same tasks as a plain one and the scheduler
+        splits them alike.  ``None`` (the whole return) means the
+        store failed mid-partition and the caller should fall back to
+        full recompute.
         """
-        slots: list[PackedShardResult | None] = []
+        slots: list[PackedShardResult | str] = []
         dirty_tasks: list[ShardTask] = []
-        dirty_digests: list[str] = []
         for task in tasks:
             units = task.replay_units or ()
             with timer.stage("digest"):
@@ -1666,7 +1701,9 @@ class AuditEngine:
                 )
                 return None
             corrupt: list[str] = []
-            for part, (unit, digest) in enumerate(zip(units, digests)):
+            runs: list[list[tuple[TraceUnit, str]]] = []
+            run: list[tuple[TraceUnit, str]] | None = None
+            for unit, digest in zip(units, digests):
                 payload = found.get(digest)
                 packed = (
                     _decode_unit_payload(payload, task.service)
@@ -1675,85 +1712,43 @@ class AuditEngine:
                 )
                 if payload is not None and packed is None:
                     corrupt.append(digest)
-                if packed is not None:
-                    _UNIT_STORE_HITS.inc()
-                    slots.append(packed)
+                if packed is None:
+                    slots.append(unit.meta.name)
+                    if run is None:
+                        run = []
+                        runs.append(run)
+                    run.append((unit, digest))
                     continue
-                slots.append(None)
-                dirty_tasks.append(
-                    dataclasses.replace(
-                        task,
-                        replay_units=(unit,),
-                        part=part,
-                        estimated_cost=_replay_unit_cost(unit),
-                    )
+                _UNIT_STORE_HITS.inc()
+                # The stored counters and stage times describe the run
+                # that produced the unit; this run did none of that
+                # work, so they are zeroed — EngineOutput counters and
+                # profiles describe only work actually performed.
+                packed.cache_hits = packed.cache_misses = 0
+                packed.store_hits = packed.store_misses = 0
+                packed.stage_times = {}
+                slots.append(packed)
+                run = None
+            dirty_tasks.extend(
+                dataclasses.replace(
+                    task,
+                    replay_units=tuple(unit for unit, _ in pairs),
+                    part=part,
+                    unit_digests={unit.meta.name: digest for unit, digest in pairs},
+                    epoch=epoch,
                 )
-                dirty_digests.append(digest)
+                for part, pairs in enumerate(runs)
+            )
             if corrupt:
                 try:
                     store.delete_unit_results(epoch, corrupt)
                 # repro-lint: disable=X-SWALLOW — quarantine cleanup is cosmetic; undeleted corrupt rows stay invisible to lookups anyway
                 except StoreError:
                     pass
-        return slots, dirty_tasks, dirty_digests
-
-    @staticmethod
-    def _unit_flush_hook(
-        store: ClassificationStore,
-        epoch: str,
-        digests: list[str],
-        timer: StageTimer,
-    ) -> Callable:
-        """The per-unit write-through hook for ``map_shards(on_result=)``.
-
-        Crash-safe resume is built on flushing *as results complete*,
-        not at run end: every unit result reaches the store the moment
-        its shard finishes, so a SIGKILL mid-run loses only in-flight
-        work and ``audit --resume`` reuses everything already
-        persisted.  Best-effort by contract — the first store failure
-        disables flushing with one warning (this run's audit is
-        unaffected; only the next run's warm start is lost).  Degraded
-        results are never cached: a quarantined unit is re-attempted
-        on every run.
-        """
-        state = {"disabled": False}
-
-        def flush(index: int, raw) -> None:
-            if state["disabled"]:
-                return
-            packed = (
-                raw
-                if isinstance(raw, PackedShardResult)
-                else pack_shard_result(raw)
-            )
-            if packed.degraded:
-                return
-            if packed.metrics is not None:
-                # Never persist telemetry: a later run merging this
-                # unit from cache did none of the work the snapshot
-                # describes.
-                packed = dataclasses.replace(packed, metrics=None)
-            with timer.stage("store_put"):
-                try:
-                    store.put_unit_results(
-                        epoch,
-                        [(digests[index], packed.service, pickle.dumps(packed))],
-                    )
-                except StoreError as exc:
-                    state["disabled"] = True
-                    print(
-                        f"warning: could not persist unit results: {exc}",
-                        file=sys.stderr,
-                    )
-
-        return flush
+        return slots, dirty_tasks
 
     def _resolve_crashes(
-        self,
-        raw_results: list,
-        work: Callable,
-        degraded: list[DegradedUnit],
-        flush: Callable | None,
+        self, raw_results: list, work: Callable, degraded: list[DegradedUnit]
     ) -> list:
         """Turn :class:`ShardCrash` slots into results, quarantine, or error.
 
@@ -1778,7 +1773,6 @@ class AuditEngine:
             if units is None:
                 # Nothing to bisect: retry the whole shard in-process.
                 resolved[index] = work(task)
-                _invoke_on_result(flush, index, resolved[index])
                 continue
             poisons = _isolate_poison_units(task, work)
             poison_names = {unit.meta.name for unit in poisons}
@@ -1813,7 +1807,6 @@ class AuditEngine:
             resolved[index] = work(
                 dataclasses.replace(task, replay_units=remainder)
             )
-            _invoke_on_result(flush, index, resolved[index])
         return resolved
 
     def _stage_timer(self) -> StageTimer:
@@ -1825,28 +1818,20 @@ class AuditEngine:
     def run(self) -> EngineOutput:
         timer = self._stage_timer()
         # Engine-side per-shard-stage time (digesting, unit-result
-        # store round-trips) — merged into the shards' stage table.
+        # lookups) — merged into the shards' stage table.
         unit_stages = self._stage_timer()
-        slots: list[PackedShardResult | None] | None = None
-        dirty_digests: list[str] = []
-        unit_store: ClassificationStore | None = None
-        epoch = ""
+        slots: list[PackedShardResult | str] | None = None
         with timer.stage("shard_setup"):
             executor = executor_for(self.jobs)
             _RUNS.labels(executor.kind).inc()
             tasks = self.shard_tasks()
             scope = self._unit_result_scope()
             if scope is not None:
-                unit_store, epoch = scope
-                partition = self._partition_replay_tasks(
-                    tasks, unit_store, epoch, unit_stages
-                )
-                if partition is None:
-                    unit_store = None
-                else:
-                    # From here on ``tasks`` is the dirty set only —
-                    # one single-unit task per unit to recompute.
-                    slots, tasks, dirty_digests = partition
+                partition = self._partition_replay_tasks(tasks, *scope, unit_stages)
+                if partition is not None:
+                    # From here on ``tasks`` covers the dirty units
+                    # only: one task per run of consecutive dirty units.
+                    slots, tasks = partition
             packed = False
             if isinstance(executor, SequentialExecutor):
                 # In-process shards can share one classification
@@ -1857,77 +1842,59 @@ class AuditEngine:
                 for task in tasks:
                     task.classifier = shared
             else:
-                if slots is None:
-                    # Size-balance the pool: split cost-skewed
-                    # services into sub-shards and let the executor
-                    # run them unordered.  (Incremental dirty tasks
-                    # are already single-unit — nothing to split;
-                    # their costs were stamped for LPT submission.)
-                    tasks = split_shard_tasks(tasks, executor.jobs)
+                # Size-balance the pool: split cost-skewed services
+                # (or dirty runs) into sub-shards and let the executor
+                # run them unordered.
+                tasks = split_shard_tasks(tasks, executor.jobs)
                 if self.replay is None:
                     _import_generation()
                 self._slim_tasks(tasks)
                 packed = True
         work = _process_shard_packed if packed else process_shard
         _TASKS_DISPATCHED.inc(len(tasks))
-        # Crash-safe resume: in incremental mode every fresh unit
-        # result is flushed to the store the moment its shard
-        # completes, so an interrupted run (even SIGKILL) leaves
-        # everything already computed for ``--resume`` to reuse.
-        flush = (
-            self._unit_flush_hook(unit_store, epoch, dirty_digests, unit_stages)
-            if unit_store is not None
-            else None
-        )
         with timer.stage("execute"):
-            raw_results = executor.map_shards(tasks, work=work, on_result=flush)
+            raw_results = executor.map_shards(tasks, work=work)
         crash_degraded: list[DegradedUnit] = []
         if any(isinstance(raw, ShardCrash) for raw in raw_results):
-            raw_results = self._resolve_crashes(
-                raw_results, work, crash_degraded, flush
-            )
+            raw_results = self._resolve_crashes(raw_results, work, crash_degraded)
         if packed:
             # Fold worker-side metric deltas into the parent registry
             # in canonical task order (raw_results is in input order),
             # so the merged telemetry is the same whatever order
-            # workers finished in.  ``None`` slots are fully-
-            # quarantined shards.
+            # workers finished in.  A dirty-unit task's delta rides on
+            # its last result; ``None`` slots are fully-quarantined
+            # shards.
             with timer.stage("unpack"):
                 for raw in raw_results:
-                    if raw is not None and raw.metrics is not None:
-                        REGISTRY.absorb(raw.metrics)
+                    own = raw[-1] if isinstance(raw, list) else raw
+                    if own is not None and own.metrics is not None:
+                        REGISTRY.absorb(own.metrics)
         results: list[ShardResult | PackedShardResult] = []
         unit_hits = unit_misses = 0
-        if slots is not None:
-            unit_hits = sum(1 for cached in slots if cached is not None)
-            unit_misses = sum(1 for result in raw_results if result is not None)
+        if slots is None:
+            results = [result for result in raw_results if result is not None]
+        else:
+            unit_hits = sum(not isinstance(slot, str) for slot in slots)
+            unit_misses = len(slots) - unit_hits - len(crash_degraded)
             # Weave cached and fresh results back into canonical
             # order (service-spec order, then unit order) — the order
-            # merge requires.  merge folds per-unit results exactly
-            # as it folds sub-shards, so output bytes cannot depend
-            # on what was cached.  A ``None`` fresh result is a
-            # quarantined unit: it contributes nothing, exactly as if
-            # the unit were absent from the corpus.
+            # merge requires.  A dirty task's results fill its units'
+            # slots, from its first unit's on.  merge folds per-unit
+            # results exactly as it folds sub-shards, so output bytes
+            # cannot depend on what was cached.  A quarantined unit
+            # has no result: it contributes nothing, exactly as if the
+            # unit were absent from the corpus.
+            fresh = {
+                task.replay_units[0].meta.name: raw
+                for task, raw in zip(tasks, raw_results)
+                if task.replay_units and raw is not None
+            }
             with timer.stage("unpack"):
-                dirty_iter = iter(raw_results)
-                for cached in slots:
-                    if cached is not None:
-                        # The stored counters and stage times describe
-                        # the run that produced the unit; this run did
-                        # none of that work, so they are zeroed —
-                        # EngineOutput counters and profiles describe
-                        # only work actually performed.  The merged
-                        # audit state is untouched.
-                        cached.cache_hits = cached.cache_misses = 0
-                        cached.store_hits = cached.store_misses = 0
-                        cached.stage_times = {}
-                        results.append(cached)
-                        continue
-                    fresh = next(dirty_iter)
-                    if fresh is not None:
-                        results.append(fresh)
-        else:
-            results = [result for result in raw_results if result is not None]
+                for slot in slots:
+                    if isinstance(slot, str):
+                        results.extend(fresh.get(slot, ()))
+                    else:
+                        results.append(slot)
         with timer.stage("merge"):
             merged = self.merge(results)
         merged.degraded.extend(crash_degraded)

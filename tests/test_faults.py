@@ -14,8 +14,8 @@ Structure mirrors the feature's contract:
 * byte parity — non-data fault plans (kill/stall/store) never change
   output bytes (Hypothesis, across seeds);
 * crash-safe resume — an audit SIGKILLed mid-run resumes from the
-  per-unit results it already flushed, byte-identical to a cold run,
-  and its pool workers exit instead of outliving it;
+  per-unit results its finished tasks already stored, byte-identical
+  to a cold run, and its pool workers exit instead of outliving it;
 * atomic writes — ``repro.fsutil`` never tears a file, even when the
   write itself fails.
 """
@@ -239,18 +239,13 @@ class TestProcessPoolRecovery:
         executor = ProcessPoolShardExecutor(
             jobs=2, max_attempts=4, retry_backoff_s=0.01
         )
-        delivered = []
         results = executor.map_shards(
-            [("die", 0), ("ok", 2), ("ok", 3)],
-            work=_exit_by_spec,
-            on_result=lambda index, result: delivered.append(index),
+            [("die", 0), ("ok", 2), ("ok", 3)], work=_exit_by_spec
         )
         assert isinstance(results[0], ShardCrash)
         assert results[0].attempts == 4
         assert "died on all 4 attempts" in results[0].error
         assert results[1:] == [4, 6]
-        # The flush hook never sees crash sentinels — only real results.
-        assert sorted(delivered) == [1, 2]
 
     def test_healthy_shards_never_inherit_a_siblings_crash(self):
         # Both healthy tasks are still running when the poison kills

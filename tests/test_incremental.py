@@ -1,6 +1,6 @@
 """Incremental re-audit: content-addressed units, O(delta) recompute.
 
-Three layers of guarantees, each with its own test class:
+Layers of guarantees, each with its own test class:
 
 * the **digest** (:func:`repro.pipeline.replay.unit_digest`) is a pure
   function of a unit's metadata and member-file bytes — identical
@@ -14,7 +14,13 @@ Three layers of guarantees, each with its own test class:
   result schema invalidates everything;
 * the **unit-result store UX**: ``stats`` reports unit results,
   version-mismatch rows are pruned not served, and a corrupt payload
-  row costs one recomputation and is then replaced.
+  row costs one recomputation and is then replaced;
+* **dirty runs**: any mix of cached and dirty units folds to the
+  plain report, each maximal run of consecutive dirty units of a
+  service is one task, and the tasks store every recomputed unit's
+  row (Hypothesis over dirty masks);
+* **failed unit writes** change no output bytes, warn, and cost the
+  next run exactly the unwritten units.
 """
 
 import dataclasses
@@ -23,13 +29,14 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.datatypes.store as store_module
 import repro.pipeline.engine as engine_module
 from repro import CorpusConfig, DiffAudit
 from repro.datatypes.store import (
     ClassificationStore,
+    StoreError,
     store_path_for,
     unit_result_epoch,
 )
@@ -238,7 +245,10 @@ class TestMutationInvalidation:
         )
         spy = _ShardSpy(monkeypatch)
         bumped_json, bumped_engine = _audit(pristine_corpus, cache)
-        assert spy.calls == total  # one single-unit task per unit
+        # Every unit exactly once, in one dirty run per service.
+        units = [u.meta.name for u in ReplayCorpus.scan(pristine_corpus).units]
+        assert sorted(spy.units) == sorted(units)
+        assert spy.calls == len(CONFIG.services)
         assert bumped_engine["unit_misses"] == total
         assert bumped_engine["unit_hits"] == 0
         assert bumped_json == cold_json
@@ -388,3 +398,103 @@ class TestUnitResultStoreUX:
             assert spy2.calls == 0, case
             assert again_engine["unit_hits"] == total, case
             assert again_json == cold_json, case
+
+
+# ----------------------------------------------------------------------
+# Dirty runs: any mix of cached and dirty units folds to the plain report
+# ----------------------------------------------------------------------
+
+EPOCH = unit_result_epoch("gpt4-majority-avg", 0.8)
+# Longer than the corpus has units; a mask is cut to the corpus.
+MASK_SIZE = 64
+
+
+@pytest.fixture(scope="module")
+def plain_json(pristine_corpus) -> str:
+    """The plain (store-less) audit every incremental run must match."""
+    return result_to_json(DiffAudit(CONFIG, replay=pristine_corpus).run())
+
+
+@pytest.fixture(scope="module")
+def filled_store(pristine_corpus, tmp_path_factory) -> Path:
+    """A store a cold audit filled; tests copy it."""
+    cache = tmp_path_factory.mktemp("filled-store")
+    _audit(pristine_corpus, cache)
+    return cache
+
+
+def _units_by_service(corpus: Path) -> list[list[TraceUnit]]:
+    scanned = ReplayCorpus.scan(corpus)
+    return [scanned.units_for(service) for service in CONFIG.services]
+
+
+class TestDirtyRuns:
+    @given(
+        mask=st.lists(st.booleans(), min_size=MASK_SIZE, max_size=MASK_SIZE),
+        jobs=st.sampled_from([1, 2]),
+    )
+    @example(mask=[False] * MASK_SIZE, jobs=1)
+    @example(mask=[True] * MASK_SIZE, jobs=2)
+    # Cached units separate dirty ones at the start of the corpus.
+    @example(mask=[True, False, True, False, True] + [False] * 59, jobs=1)
+    @example(mask=[True, False, True, True] + [False] * 60, jobs=2)
+    @settings(max_examples=12, deadline=None)
+    def test_any_dirty_mask_folds_to_the_plain_report(
+        self, pristine_corpus, plain_json, filled_store, tmp_path_factory, mask, jobs
+    ):
+        groups = _units_by_service(pristine_corpus)
+        units = [unit for group in groups for unit in group]
+        assert len(units) <= MASK_SIZE
+        dirty = {unit.meta.name for unit, bit in zip(units, mask) if bit}
+        runs = sum(
+            1
+            for group in groups
+            for index, unit in enumerate(group)
+            if unit.meta.name in dirty
+            and (index == 0 or group[index - 1].meta.name not in dirty)
+        )
+        cache = tmp_path_factory.mktemp("masked") / "cache"
+        shutil.copytree(filled_store, cache)
+        digests = [unit_digest(unit) for unit in units]
+        with ClassificationStore(store_path_for(cache)) as store:
+            store.delete_unit_results(
+                EPOCH,
+                [d for unit, d in zip(units, digests) if unit.meta.name in dirty],
+            )
+        report, engine = _audit(pristine_corpus, cache, jobs=jobs)
+        assert report == plain_json
+        assert engine["unit_misses"] == len(dirty)
+        assert engine["unit_hits"] == len(units) - len(dirty)
+        if jobs == 1:
+            # One task per maximal run of consecutive dirty units.
+            assert engine["tasks"] == runs
+        with ClassificationStore(store_path_for(cache)) as store:
+            assert len(store.get_unit_results(EPOCH, digests)) == len(units)
+
+
+class TestUnitWriteFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_write_changes_no_bytes_and_recomputes_only_its_units(
+        self, pristine_corpus, plain_json, tmp_path, monkeypatch, capfd, jobs
+    ):
+        real = ClassificationStore.put_unit_results
+
+        def put_unit_results(self, epoch, rows, schema_version=None):
+            if any(service == "youtube" for _, service, _ in rows):
+                raise StoreError("simulated unit-result write failure")
+            return real(self, epoch, rows, schema_version)
+
+        # Forked pool workers inherit the patch.
+        monkeypatch.setattr(ClassificationStore, "put_unit_results", put_unit_results)
+        cache = tmp_path / "cache"
+        report, _ = _audit(pristine_corpus, cache, jobs=jobs)
+        assert report == plain_json
+        assert "could not persist unit results" in capfd.readouterr().err
+        monkeypatch.undo()
+
+        spy = _ShardSpy(monkeypatch)
+        warm, engine = _audit(pristine_corpus, cache)
+        youtube = ReplayCorpus.scan(pristine_corpus).units_for("youtube")
+        assert sorted(spy.units) == sorted(unit.meta.name for unit in youtube)
+        assert engine["unit_misses"] == len(youtube)
+        assert warm == plain_json
