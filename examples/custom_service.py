@@ -16,6 +16,7 @@ services, whose age columns were nearly identical.
 
 from repro.audit.policy import PolicyModel, PolicyStatement
 from repro.audit.report import audit_service
+from repro.datatypes.extract import extract_from_request
 from repro.destinations.dataset import default_universe
 from repro.destinations.party import DestinationLabeler
 from repro.flows.builder import FlowBuilder
@@ -129,13 +130,14 @@ def main() -> None:
         parsed = processor.process_trace(trace)
         for request in parsed.requests:
             flows.extend(
-                builder.flows_for_request(
-                    request,
+                builder.flows_for_destination(
+                    request.url.fqdn,
                     labeler,
                     service=spec.key,
                     platform=parsed.meta.platform,
                     kind=parsed.meta.kind,
                     age=parsed.meta.age,
+                    keys=[item.key for item in extract_from_request(request)],
                 )
             )
 

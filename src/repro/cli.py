@@ -29,6 +29,7 @@ process pays start-up for its own command and nothing else.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import threading
@@ -1398,10 +1399,20 @@ def main(argv: list[str] | None = None) -> int:
     if threading.current_thread() is threading.main_thread():
         restore = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A reader that closed the pipe early fails this flush, inside
+        # the try, instead of the interpreter's exit-time one.
+        sys.stdout.flush()
+        return code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader stopped early (``| head``, ``| grep -q``): exit 1
+        # without a traceback.  Python's SIGPIPE recipe: point stdout
+        # at devnull so the exit-time flush has nothing left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if restore is not None:
             signal.signal(signal.SIGTERM, restore)

@@ -29,8 +29,8 @@ corpus.  Tests and CI that want real on-disk damage use
 
 Worker-kill faults only fire inside process-pool workers
 (``multiprocessing.parent_process()`` is set); in-process — the
-sequential executor and the pool's single-task and crash-recovery
-fallbacks — they are no-ops rather than suicide.
+sequential executor and the engine's crash-recovery fallback — they
+are no-ops rather than suicide.
 """
 
 from __future__ import annotations

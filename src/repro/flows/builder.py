@@ -2,7 +2,9 @@
 
 The builder joins three analyses per request:
 
-1. **extraction** — raw data types from body/query/cookies;
+1. **extraction** — raw data types from body/query/cookies, which the
+   caller runs (:func:`repro.datatypes.extract.extract_from_request`)
+   and passes in as keys;
 2. **classification** — raw type → level-3 ontology category via the
    configured classifier, kept only above the confidence threshold
    (the paper uses Majority-Avg @ 0.8);
@@ -20,11 +22,9 @@ from typing import Iterable
 
 from repro.datatypes.base import Classification, Classifier
 from repro.datatypes.cache import CachingClassifier
-from repro.datatypes.extract import extract_from_request
 from repro.destinations.party import DestinationLabeler
 from repro.flows.dataflow import FlowObservation
 from repro.model import AgeGroup, Platform, TraceColumn, TraceKind
-from repro.net.http import HttpRequest
 from repro.net.psl import esld as esld_of
 from repro.ontology.nodes import Level3
 
@@ -62,12 +62,11 @@ class FlowBuilder:
     classifier: Classifier
     confidence_threshold: float = 0.8
     _cache: CachingClassifier = field(init=False, repr=False)
-    # Keys this builder classified — per-builder even when the cache
-    # layer is shared (or pre-warmed) across builders.
-    _seen: set[str] = field(init=False, repr=False)
-    # Thresholded label per key — the per-request lookup table.  The
-    # classifier stack is descended once per new key; repeat keys
-    # resolve here without even a cache-layer round-trip.
+    # Thresholded label per key — the per-request lookup table, and the
+    # keys this builder classified (per builder even when the cache
+    # layer is shared or pre-warmed).  The classifier stack is
+    # descended once per new key; repeat keys resolve here without
+    # even a cache-layer round-trip.
     _labels: dict[str, Level3 | None] = field(init=False, repr=False)
     #: Keys resolved straight from the label table — the lookups that
     #: were cache-layer hits before the table existed.  Cache hit/miss
@@ -77,13 +76,8 @@ class FlowBuilder:
 
     def __post_init__(self) -> None:
         self._cache = CachingClassifier.wrap(self.classifier)
-        self._seen = set()
         self._labels = {}
         self.lookup_hits = 0
-
-    def label_key(self, key: str) -> Level3 | None:
-        """Classify one raw key (memoized, threshold applied)."""
-        return self.labels_for_keys([key])[0]
 
     def _thresholded(self, verdict: Classification) -> Level3 | None:
         return (
@@ -99,69 +93,26 @@ class FlowBuilder:
         missing = [key for key in keys if key not in labels]
         self.lookup_hits += len(keys) - len(missing)
         if missing:
-            self._seen.update(missing)
             for verdict in self._cache.classify_batch(missing):
                 labels[verdict.text] = self._thresholded(verdict)
         return [labels[key] for key in keys]
 
-    def prime(self, keys: list[str]) -> None:
-        """Classify ``keys`` ahead of per-request flow building.
-
-        One batched call drains every cache miss at once — through a
-        persistent layer that is one disk round-trip for a whole trace
-        instead of one per key — after which the per-request lookups
-        are all in-memory hits.
-        """
-        unique = list(dict.fromkeys(keys))
-        if unique:
-            self._seen.update(unique)
-            for verdict in self._cache.classify_batch(unique):
-                self._labels[verdict.text] = self._thresholded(verdict)
-
     def prime_sequence(self, key_lists: Iterable[list[str]]) -> None:
-        """Classify many traces' keys in ONE batched call.
+        """Classify many traces' keys in ONE batched call, ahead of
+        per-request flow building.
 
-        Equivalent to calling :meth:`prime` once per list — each list
-        is deduplicated first-occurrence-first and the lists then
-        concatenated, so the cache layer's hit/miss arithmetic matches
-        the per-trace sequence key for key — but the whole shard costs
-        one classifier-stack descent: one persistent-store round-trip
-        and one inner batch instead of one per trace.
+        Each list is deduplicated first-occurrence-first and the lists
+        then concatenated, so the cache layer's hit/miss arithmetic is
+        the same however a run groups its traces into calls — one call
+        per trace or one per shard — key for key.  One call costs one
+        classifier-stack descent: one persistent-store round-trip and
+        one inner batch; the per-request lookups after it are all
+        in-memory hits.
         """
         keys = [key for key_list in key_lists for key in dict.fromkeys(key_list)]
         if keys:
-            self._seen.update(keys)
             for verdict in self._cache.classify_batch(keys):
                 self._labels[verdict.text] = self._thresholded(verdict)
-
-    def flows_for_request(
-        self,
-        request: HttpRequest,
-        labeler: DestinationLabeler,
-        service: str,
-        platform: Platform,
-        kind: TraceKind,
-        age: AgeGroup | None,
-        extracted: list | None = None,
-    ) -> list[FlowObservation]:
-        """All data flows one outgoing request produces.
-
-        ``extracted`` lets a caller that already ran
-        :func:`extract_from_request` (the engine extracts once per
-        request for key accounting) pass the result in instead of
-        extracting twice.
-        """
-        if extracted is None:
-            extracted = extract_from_request(request)
-        return self.flows_for_destination(
-            request.url.fqdn,
-            labeler,
-            service=service,
-            platform=platform,
-            kind=kind,
-            age=age,
-            keys=[item.key for item in extracted],
-        )
 
     def flows_for_destination(
         self,
@@ -173,12 +124,13 @@ class FlowBuilder:
         age: AgeGroup | None,
         keys: list[str],
     ) -> list[FlowObservation]:
-        """Flows for one request's already-extracted keys.
+        """All data flows one outgoing request to ``fqdn`` produces.
 
-        The request-free core of :meth:`flows_for_request`: the engine
-        extracts keys in a first pass over the shard (so request
-        bodies can be dropped before classification), then builds
-        flows from ``(fqdn, keys)`` pairs here.
+        ``keys`` are the request's extracted raw keys
+        (:func:`repro.datatypes.extract.extract_from_request`): the
+        engine extracts them first, so request bodies can be dropped
+        before classification, then builds flows from ``(fqdn, keys)``
+        pairs here.  At most one flow per level-3 category.
         """
         column = TraceColumn.for_trace(kind, age)
         destination = labeler.label(fqdn)
@@ -205,4 +157,4 @@ class FlowBuilder:
 
     @property
     def classified_keys(self) -> int:
-        return len(self._seen)
+        return len(self._labels)

@@ -8,7 +8,8 @@ another's state.  The engine exploits that:
 
 1. **shard** — one :class:`ShardTask` per configured service;
 2. **capture/parse/classify/flow-build** — :func:`process_shard` runs
-   the whole per-service stage and returns a :class:`ShardResult`;
+   the whole per-service stage through a :class:`ShardFold` (the fold
+   the streaming session shares) and returns a :class:`ShardResult`;
 3. **merge** — shard results fold into one :class:`FlowTable` and
    :class:`DatasetSummary` in service-spec order, so the merged state
    is byte-for-byte what the sequential loop produces;
@@ -37,9 +38,9 @@ service run.
 
 With ``cache_dir`` set, classifications additionally persist in a
 process-safe SQLite store (:mod:`repro.datatypes.store`) shared by
-every shard worker and every run: shards drain their cache misses
-through per-trace batches, warm re-runs never reach the inner
-classifier, and results stay byte-identical either way.
+every shard worker and every run: a shard drains its cache misses
+in one batch, warm re-runs never reach the inner classifier, and
+results stay byte-identical either way.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
+from repro.capture.base import TraceMeta
 from repro.datatypes.base import Classifier
 from repro.datatypes.cache import CachingClassifier
 from repro.datatypes.extract import extract_from_request
@@ -125,6 +127,7 @@ class ShardTask:
     With ``replay_units`` set, the shard's traces come from artifact
     files on disk instead of the in-memory generate → capture → parse
     loop; everything downstream of trace parsing is identical.
+    ``repro generate`` runs the same tasks and stops after capture.
 
     A task may cover the whole service (``unit_range is None``,
     ``part == 0``) or one contiguous sub-shard of its trace units —
@@ -464,30 +467,103 @@ def _put_unit_results(
             )
 
 
+@dataclass
+class ShardFold:
+    """One service's traces folded into :class:`ShardResult` targets.
+
+    The one per-trace fold of the audit: :func:`process_shard` adds a
+    task's traces and builds once, :class:`repro.stream.session.
+    StreamAudit` builds after every trace.  Where builds fall changes
+    neither flows nor counters (see
+    :meth:`repro.flows.builder.FlowBuilder.prime_sequence`), so batch
+    and stream agree by construction.
+
+    * :meth:`add` folds a trace's dataset row, contacted hosts and raw
+      keys into its target and keeps only ``(fqdn, keys)`` per
+      request, so request bodies are dropped as soon as they are mined;
+    * :meth:`build` classifies the keys of every trace added since the
+      last build in ONE descent through the classifier stack — one
+      persistent-store round-trip, one inner batch — then builds their
+      flows from the kept pairs, every lookup an in-memory hit;
+    * :meth:`label` registers party and owner for every host a target
+      contacted, so destination-only (opaque) contacts count too.  It
+      is idempotent: registration never overrides a label.
+
+    Wall time goes to ``timer`` under the shard stage names.
+    """
+
+    service: str
+    labeler: DestinationLabeler
+    builder: FlowBuilder
+    timer: StageTimer = field(default_factory=StageTimer)
+    # Per trace added since the last build: its target, its meta and
+    # its requests' (fqdn, keys) pairs; and the trace's keys.
+    _pending: list[tuple[ShardResult, TraceMeta, list[tuple[str, list[str]]]]] = (
+        field(default_factory=list, init=False, repr=False)
+    )
+    _key_lists: list[list[str]] = field(default_factory=list, init=False, repr=False)
+
+    def add(self, parsed: ParsedTrace, target: ShardResult) -> None:
+        target.trace_count += 1
+        with self.timer.stage("dataset"):
+            target.dataset.add_trace(parsed)
+            target.contacted.update(parsed.contacted_hosts())
+        with self.timer.stage("extract"):
+            requests: list[tuple[str, list[str]]] = []
+            trace_keys: list[str] = []
+            for request in parsed.requests:
+                keys = [item.key for item in extract_from_request(request)]
+                requests.append((request.url.fqdn, keys))
+                trace_keys.extend(keys)
+                target.raw_keys.update(keys)
+        self._pending.append((target, parsed.meta, requests))
+        self._key_lists.append(trace_keys)
+
+    def build(self) -> None:
+        with self.timer.stage("classify"):
+            self.builder.prime_sequence(self._key_lists)
+        with self.timer.stage("flow_build"):
+            for target, meta, requests in self._pending:
+                for fqdn, keys in requests:
+                    observations = self.builder.flows_for_destination(
+                        fqdn,
+                        self.labeler,
+                        service=self.service,
+                        platform=meta.platform,
+                        kind=meta.kind,
+                        age=meta.age,
+                        keys=keys,
+                    )
+                    target.flows.extend(observations)
+        self._pending = []
+        self._key_lists = []
+
+    def label(self, target: ShardResult) -> None:
+        with self.timer.stage("label"):
+            for host in target.contacted:
+                label = self.labeler.label(host)
+                target.flows.register_party(self.service, host, label.party)
+                target.owners[host] = label.owner
+
+
 def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
     """Run capture → parse → classify → flow-build for one service.
 
-    Two passes over the shard: the first pass drains the trace source
-    (generation or artifact decode), folds dataset stats and extracts
-    each request's raw keys — keeping only ``(fqdn, keys)`` per
-    request, so request bodies are dropped as soon as they are mined.
-    Classification then happens ONCE for the whole shard
-    (:meth:`repro.flows.builder.FlowBuilder.prime_sequence`): one
-    descent through the classifier stack — one persistent-store
-    round-trip, one inner batch — instead of one per trace.  The
-    second pass builds flows from the retained pairs; every lookup is
-    an in-memory hit.  Wall time is attributed per stage in
-    ``ShardResult.stage_times``.
+    Drains the trace source (generation or artifact decode) into a
+    :class:`ShardFold`, builds once — so the whole shard costs one
+    classifier-stack descent instead of one per trace — and labels
+    each result's contacted hosts.  Wall time is attributed per stage
+    in ``ShardResult.stage_times``.
 
     A task with ``unit_digests`` (an incremental run's dirty units)
-    runs the same setup and the same single descent, but keeps each
-    unit's flows, dataset row, contacted hosts, raw keys and owners
-    apart: exactly what a one-unit task computes.  It packs each
-    unit's result once, writes them all to the unit store in one call
-    through its own classifier stack's store, and returns them in
-    unit order, followed by one result with no rows that carries the
-    task's counters, stage times and quarantined units.  Stored rows
-    carry none of those; a quarantined unit has no result at all.
+    runs the same setup and the same single descent, but folds each
+    unit into a result of its own: exactly what a one-unit task
+    computes.  It packs each unit's result once, writes them all to
+    the unit store in one call through its own classifier stack's
+    store, and returns them in unit order, followed by one result with
+    no rows that carries the task's counters, stage times and
+    quarantined units.  Stored rows carry none of those; a quarantined
+    unit has no result at all.
     """
     _apply_worker_faults(task)
     timer = StageTimer()
@@ -496,7 +572,6 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
         (spec,) = [
             s for s in task.config.service_specs() if s.key == task.service
         ]
-        labeler = labeler_for(spec, entity_db, blocklists)
         # A task may arrive with an already-cached classifier (the
         # sequential executor shares one cache across shards, so keys
         # common to several services are classified once per corpus);
@@ -515,8 +590,13 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
         store_misses_before = persistent.misses if persistent else 0
         store_get_before = persistent.store_get_s if persistent else 0.0
         store_put_before = persistent.store_put_s if persistent else 0.0
-        builder = FlowBuilder(
-            classifier=cache, confidence_threshold=task.confidence_threshold
+        fold = ShardFold(
+            task.service,
+            labeler_for(spec, entity_db, blocklists),
+            FlowBuilder(
+                classifier=cache, confidence_threshold=task.confidence_threshold
+            ),
+            timer,
         )
 
     def empty() -> ShardResult:
@@ -530,12 +610,6 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
     digests = task.unit_digests
     targets = [shard] if digests is None else []
     names: list[str] = []  # with unit digests: each target's unit
-    # Per trace: (target, platform, kind, age, [(fqdn, keys), ...]) —
-    # all the flow-building pass needs once keys are extracted.
-    trace_plans: list[
-        tuple[ShardResult, object, object, object, list[tuple[str, list[str]]]]
-    ] = []
-    key_lists: list[list[str]] = []
 
     degraded: list[DegradedUnit] = []
     source_stage = "decode" if task.replay_units is not None else "generate"
@@ -553,66 +627,16 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
         if digests is not None:
             targets.append(empty())
             names.append(parsed.meta.name)
-        target = targets[-1]
-        target.trace_count += 1
-        with timer.stage("dataset"):
-            target.dataset.add_trace(parsed)
-            target.contacted.update(parsed.contacted_hosts())
-        with timer.stage("extract"):
-            requests: list[tuple[str, list[str]]] = []
-            trace_keys: list[str] = []
-            for request in parsed.requests:
-                keys = [
-                    item.key for item in extract_from_request(request)
-                ]
-                requests.append((request.url.fqdn, keys))
-                trace_keys.extend(keys)
-                target.raw_keys.update(keys)
-        with timer.stage("label"):
-            # Opaque flows still label their destinations (party/ATS
-            # classification does not need plaintext).
-            for host in parsed.opaque_hosts:
-                if host:
-                    labeler.label(host)
-        meta = parsed.meta
-        trace_plans.append((target, meta.platform, meta.kind, meta.age, requests))
-        key_lists.append(trace_keys)
-
-    # One classification descent for the whole shard.  Equivalent to
-    # per-trace priming, key for key (see prime_sequence), so cache
-    # hit/miss arithmetic is unchanged.
-    with timer.stage("classify"):
-        builder.prime_sequence(key_lists)
-
-    with timer.stage("flow_build"):
-        for target, platform, kind, age, requests in trace_plans:
-            for fqdn, keys in requests:
-                observations = builder.flows_for_destination(
-                    fqdn,
-                    labeler,
-                    service=task.service,
-                    platform=platform,
-                    kind=kind,
-                    age=age,
-                    keys=keys,
-                )
-                target.flows.extend(observations)
-
-    # Register parties (and owners, for the census/alluvial lookups
-    # downstream) for every contacted host so destination-only
-    # (opaque) contacts count too.
-    with timer.stage("label"):
-        for target in targets:
-            for host in target.contacted:
-                label = labeler.label(host)
-                target.flows.register_party(task.service, host, label.party)
-                target.owners[host] = label.owner
+        fold.add(parsed, targets[-1])
+    fold.build()
+    for target in targets:
+        fold.label(target)
 
     if persistent is not None:
         timer.add("store_get", persistent.store_get_s - store_get_before)
         timer.add("store_put", persistent.store_put_s - store_put_before)
 
-    shard.cache_hits = cache.hits - hits_before + builder.lookup_hits
+    shard.cache_hits = cache.hits - hits_before + fold.builder.lookup_hits
     shard.cache_misses = cache.misses - misses_before
     if persistent is not None:
         shard.store_hits = persistent.store_hits - store_hits_before
@@ -621,10 +645,8 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
     shard.degraded = degraded
     if digests is None:
         return shard
-    # Let the working state and each unpacked table go before the rows
-    # are pickled, as a plain shard's do before it is packed.
-    trace_plans.clear()
-    key_lists.clear()
+    # Let each unpacked table go before the rows are pickled, as a
+    # plain shard's does before it is packed.
     units = [pack_shard_result(target) for target in targets]
     targets.clear()
     with timer.stage("store_put"):
@@ -773,10 +795,9 @@ def _process_shard_packed(
     result: the worker registry is reset before the task (pool
     workers run tasks serially, so the end-of-task snapshot IS the
     delta) and absorbed parent-side in canonical order.  When this
-    function runs in the *parent* (single-task shortcut, crash
-    recovery fallback) the increments already landed in the parent
-    registry — resetting it would destroy the run's telemetry, so no
-    snapshot ships.
+    function runs in the *parent* (the crash-recovery fallback) the
+    increments already landed in the parent registry — resetting it
+    would destroy the run's telemetry, so no snapshot ships.
     """
     import multiprocessing
 
@@ -945,27 +966,6 @@ def balanced_split_plan(
     return plans
 
 
-def _apply_split_plans(
-    items: list, per_item_costs: list[list[float]], jobs: int, make_sub: Callable
-) -> list:
-    """Turn work items into their planned sub-items, canonical order.
-
-    The one place the split policy is applied — audit shards and
-    generate shards both go through here, so the two commands can
-    never schedule differently.  ``make_sub(item, part, start, stop,
-    cost)`` builds one sub-item; unsplit items just get their cost
-    stamped.
-    """
-    out: list = []
-    for item, plan in zip(items, balanced_split_plan(per_item_costs, jobs)):
-        if len(plan) == 1:
-            out.append(dataclasses.replace(item, estimated_cost=plan[0][2]))
-            continue
-        for part, (start, stop, cost) in enumerate(plan):
-            out.append(make_sub(item, part, start, stop, cost))
-    return out
-
-
 def _shard_sub_task(
     task: ShardTask, part: int, start: int, stop: int, cost: float
 ) -> ShardTask:
@@ -985,14 +985,23 @@ def _shard_sub_task(
 def split_shard_tasks(tasks: list[ShardTask], jobs: int) -> list[ShardTask]:
     """Split cost-skewed service shards into balanced sub-shards.
 
-    The returned list is in canonical order — service-spec order,
-    then unit order — which is the order results must merge in;
-    executors are free to *run* it in any order.
+    The one place the split policy is applied: audit and generate
+    shards both go through here, so the two commands can never
+    schedule differently.  The returned list is in canonical order —
+    service-spec order, then unit order — which is the order results
+    must merge in; executors are free to *run* it in any order.
     """
     if jobs <= 1:
         return tasks
     per_task_costs = [shard_unit_costs(task) for task in tasks]
-    return _apply_split_plans(tasks, per_task_costs, jobs, _shard_sub_task)
+    out: list[ShardTask] = []
+    for task, plan in zip(tasks, balanced_split_plan(per_task_costs, jobs)):
+        if len(plan) == 1:
+            out.append(dataclasses.replace(task, estimated_cost=plan[0][2]))
+            continue
+        for part, (start, stop, cost) in enumerate(plan):
+            out.append(_shard_sub_task(task, part, start, stop, cost))
+    return out
 
 
 def _import_generation() -> None:
@@ -1007,28 +1016,11 @@ def _import_generation() -> None:
     import repro.capture.proxyman  # noqa: F401
 
 
-@dataclass(slots=True)
-class GenerateShard:
-    """One generate-only work item (whole service or a unit slice)."""
-
-    service: str
-    config: CorpusConfig  # already restricted to this one service
-    artifacts_dir: Path | None
-    unit_range: tuple[int, int] | None = None
-    part: int = 0
-    estimated_cost: float = 0.0
-
-
-def _generate_shard(shard: GenerateShard) -> list[dict]:
+def _generate_shard(task: ShardTask) -> list[dict]:
     """Generate + capture one shard's artifacts, skipping analysis.
 
     Returns one manifest record per trace, in generation order."""
-    processor = CorpusProcessor(
-        config=shard.config,
-        artifacts_dir=shard.artifacts_dir,
-        unit_range=shard.unit_range,
-    )
-    return [trace_record(parsed.meta) for parsed in processor]
+    return [trace_record(parsed.meta) for parsed in shard_trace_source(task)]
 
 
 def generate_corpus_artifacts(
@@ -1046,39 +1038,27 @@ def generate_corpus_artifacts(
     ``audit --from-artifacts`` can replay the directory without
     re-deriving anything from filenames.
     """
-    from repro.services.generator import estimate_unit_costs
-
     pool = executor_for(jobs)
     existing = read_manifest(artifacts_dir) if artifacts_dir is not None else None
     if existing is not None:
         # Fail fast on mismatched corpus knobs before writing anything.
         merge_manifest_traces(existing, config, [])
-    specs = config.service_specs()
-    shards = [
-        GenerateShard(
-            service=spec.key,
-            config=config.for_service(spec.key),
-            artifacts_dir=artifacts_dir,
-        )
-        for spec in specs
-    ]
     if jobs > 1:
         _import_generation()
-        per_shard_costs = [
-            estimate_unit_costs(shard.config, spec)
-            for shard, spec in zip(shards, specs)
-        ]
-        shards = _apply_split_plans(
-            shards,
-            per_shard_costs,
-            jobs,
-            lambda shard, part, start, stop, cost: dataclasses.replace(
-                shard, part=part, unit_range=(start, stop), estimated_cost=cost
-            ),
-        )
+    tasks = split_shard_tasks(
+        [
+            ShardTask(
+                service=spec.key,
+                config=config.for_service(spec.key),
+                artifacts_dir=artifacts_dir,
+            )
+            for spec in config.service_specs()
+        ],
+        jobs,
+    )
     records = [
         record
-        for shard_records in pool.map_shards(shards, work=_generate_shard)
+        for shard_records in pool.map_shards(tasks, work=_generate_shard)
         for record in shard_records
     ]
     generated = len(records)
@@ -1208,14 +1188,8 @@ class ProcessPoolShardExecutor:
     # transient cause (OOM pressure, a dying sibling) clear, short
     # enough to be invisible next to shard wall time.
     retry_backoff_s: float = 0.05
-    # Run even a single task through the pool instead of the
-    # sequential shortcut — the engine's bisection probes need crash
-    # isolation for exactly one task.
-    isolate_single: bool = False
 
     def map_shards(self, tasks: list, work: Callable = process_shard) -> list:
-        if len(tasks) <= 1 and not self.isolate_single:
-            return SequentialExecutor().map_shards(tasks, work)
         results: list = [None] * len(tasks)
         current: dict[int, object] = dict(enumerate(tasks))
         pending = list(current)
@@ -1359,21 +1333,18 @@ def _isolate_poison_units(task: ShardTask, work: Callable) -> list[TraceUnit]:
     """Bisect a repeatedly-crashing replay shard down to its poison units.
 
     Splits the shard's unit slice in half and probes each half in a
-    fresh single-worker pool (``isolate_single`` keeps even one task
-    out of the in-process shortcut — a genuinely crashing unit must
-    die in a child, never in the parent).  Halves that survive are
-    clean; halves that crash recurse.  A singleton that crashes IS the
-    poison.  O(k·log n) probe launches for k poison units — the probes
-    exist to *identify* them, their results are discarded (a clean
-    dirty-unit half has stored its unit rows, as its rerun will); the
-    caller reruns the clean remainder in-process.
+    fresh single-worker pool, so a genuinely crashing unit dies in a
+    child, never in the parent.  Halves that survive are clean; halves
+    that crash recurse.  A singleton that crashes IS the poison.
+    O(k·log n) probe launches for k poison units — the probes exist to
+    *identify* them, their results are discarded (a clean dirty-unit
+    half has stored its unit rows, as its rerun will); the caller
+    reruns the clean remainder in-process.
     """
     units = task.replay_units or ()
     if len(units) <= 1:
         return list(units)
-    probe = ProcessPoolShardExecutor(
-        jobs=1, max_attempts=2, retry_backoff_s=0.01, isolate_single=True
-    )
+    probe = ProcessPoolShardExecutor(jobs=1, max_attempts=2, retry_backoff_s=0.01)
     mid = len(units) // 2
     halves = [
         dataclasses.replace(task, replay_units=units[:mid]),

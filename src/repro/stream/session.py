@@ -6,17 +6,17 @@ diffaudit.DiffAudit`: it consumes trace events from a
 :class:`~repro.stream.sources.PacketSource`, decodes packet feeds
 through :class:`~repro.stream.incremental.IncrementalTraceDecoder`
 (idle-timeout + byte-budget flow eviction), folds each finished trace
-into per-service shard state exactly the way ``process_shard`` does —
-batched key priming included, so the classifier (and the persistent
-``--cache-dir`` store beneath it) warms continuously as the stream
-runs — and emits rolling :class:`~repro.pipeline.engine.EngineOutput`
-snapshots.
+into its service's shard through the batch engine's own
+:class:`~repro.pipeline.engine.ShardFold` — building after every
+trace, so the classifier (and the persistent ``--cache-dir`` store
+beneath it) warms continuously as the stream runs — and emits rolling
+:class:`~repro.pipeline.engine.EngineOutput` snapshots.
 
 Parity: after a complete feed, :meth:`StreamAudit.result` equals the
 batch audit of the same corpus byte for byte.  Every stage reuses the
-batch machinery — shard-state folding mirrors ``process_shard`` line
-for line, snapshots merge through :meth:`AuditEngine.merge`, and the
-final result is assembled by the shared
+batch machinery — ``process_shard`` folds through the same
+``ShardFold``, snapshots merge through :meth:`AuditEngine.merge`, and
+the final result is assembled by the shared
 :func:`repro.pipeline.diffaudit.assemble_result` — so the only novel
 code on the result path is the incremental decoding, which is pinned
 byte-identical by its own tests.
@@ -30,11 +30,9 @@ from typing import Iterator
 
 from repro.datatypes.base import Classifier
 from repro.datatypes.cache import CachingClassifier
-from repro.datatypes.extract import extract_from_request
 from repro.datatypes.store import PersistentClassifier
 from repro.destinations.blocklists import BlockListCollection
 from repro.destinations.entities import EntityDatabase
-from repro.destinations.party import DestinationLabeler
 from repro.flows.builder import FlowBuilder
 from repro.flows.dataflow import FlowTable
 from repro.pipeline.corpus import ParsedTrace
@@ -43,6 +41,7 @@ from repro.pipeline.diffaudit import DiffAuditResult, assemble_result
 from repro.pipeline.engine import (
     AuditEngine,
     EngineOutput,
+    ShardFold,
     ShardResult,
     labeler_for,
     prepare_classifier,
@@ -61,67 +60,6 @@ _EVICTIONS = REGISTRY.counter("repro_stream_evictions_total")
 
 class StreamError(ValueError):
     """Raised when a stream cannot be audited as configured."""
-
-
-@dataclass
-class _ServiceStreamState:
-    """One service's in-flight shard — ``process_shard`` unrolled over
-    an incremental trace feed."""
-
-    service: str
-    labeler: DestinationLabeler
-    builder: FlowBuilder
-    flows: FlowTable = field(default_factory=FlowTable)
-    dataset: DatasetSummary = field(default_factory=DatasetSummary)
-    contacted: set[str] = field(default_factory=set)
-    raw_keys: set[str] = field(default_factory=set)
-    trace_count: int = 0
-
-    def add_trace(self, parsed: ParsedTrace) -> None:
-        """Fold one finished trace in — the body of the batch shard loop."""
-        self.trace_count += 1
-        self.dataset.add_trace(parsed)
-        self.contacted.update(parsed.contacted_hosts())
-        extracted_per_request = [
-            extract_from_request(request) for request in parsed.requests
-        ]
-        self.builder.prime(
-            [item.key for items in extracted_per_request for item in items]
-        )
-        for request, extracted in zip(parsed.requests, extracted_per_request):
-            observations = self.builder.flows_for_request(
-                request,
-                self.labeler,
-                service=self.service,
-                platform=parsed.meta.platform,
-                kind=parsed.meta.kind,
-                age=parsed.meta.age,
-                extracted=extracted,
-            )
-            self.flows.extend(observations)
-            self.raw_keys.update(item.key for item in extracted)
-        for host in parsed.opaque_hosts:
-            if host:
-                self.labeler.label(host)
-
-    def shard_result(self) -> ShardResult:
-        """This shard as the batch merge consumes it — idempotent, so
-        snapshots and the final result share one code path (party
-        registration is a ``setdefault`` with deterministic labels)."""
-        owners: dict[str, str | None] = {}
-        for host in self.contacted:
-            label = self.labeler.label(host)
-            self.flows.register_party(self.service, host, label.party)
-            owners[host] = label.owner
-        return ShardResult(
-            service=self.service,
-            flows=self.flows,
-            dataset=self.dataset,
-            contacted=self.contacted,
-            raw_keys=self.raw_keys,
-            owners=owners,
-            trace_count=self.trace_count,
-        )
 
 
 @dataclass
@@ -160,16 +98,21 @@ class StreamAudit:
         # batch engine's sequential path: keys common to several
         # services classify once per stream.
         self._cache = CachingClassifier.wrap(self.classifier)
-        self._services: dict[str, _ServiceStreamState] = {}
-        for spec in self.config.service_specs():
-            self._services[spec.key] = _ServiceStreamState(
-                service=spec.key,
-                labeler=labeler_for(spec, self.entity_db, self.blocklists),
-                builder=FlowBuilder(
-                    classifier=self._cache,
-                    confidence_threshold=self.confidence_threshold,
+        # Per service: its fold and the one shard result it folds into.
+        self._shards: dict[str, tuple[ShardFold, ShardResult]] = {
+            spec.key: (
+                ShardFold(
+                    spec.key,
+                    labeler_for(spec, self.entity_db, self.blocklists),
+                    FlowBuilder(
+                        classifier=self._cache,
+                        confidence_threshold=self.confidence_threshold,
+                    ),
                 ),
+                ShardResult(spec.key, FlowTable(), DatasetSummary(), set(), set()),
             )
+            for spec in self.config.service_specs()
+        }
         self.trace_count = 0
         self.packet_count = 0
         self.high_water_bytes = 0
@@ -224,15 +167,16 @@ class StreamAudit:
             )
         else:
             parsed = event.parsed
-        state = self._services.get(parsed.meta.service)
-        if state is None:
-            known = ", ".join(sorted(self._services))
+        if parsed.meta.service not in self._shards:
+            known = ", ".join(sorted(self._shards))
             raise StreamError(
                 f"trace {parsed.meta.name!r} belongs to service "
                 f"{parsed.meta.service!r}, which is not part of this stream's "
                 f"configuration (configured: {known})"
             )
-        state.add_trace(parsed)
+        fold, shard = self._shards[parsed.meta.service]
+        fold.add(parsed, shard)
+        fold.build()
         self.trace_count += 1
         _TRACES.inc()
 
@@ -255,18 +199,18 @@ class StreamAudit:
         so far.
         """
         _SNAPSHOTS.inc()
-        merged = AuditEngine.merge(
-            [
-                self._services[spec.key].shard_result()
-                for spec in self.config.service_specs()
-            ]
-        )
+        shards = []
+        for spec in self.config.service_specs():
+            fold, shard = self._shards[spec.key]
+            fold.label(shard)
+            shards.append(shard)
+        merged = AuditEngine.merge(shards)
         # Classification counters are session-wide (one shared cache),
         # not per-shard; surface them on the merged view for stats.
         # Builder label-table lookups count as hits — they are the
         # per-request resolutions that used to go through the cache.
         merged.cache_hits = self._cache.hits + sum(
-            state.builder.lookup_hits for state in self._services.values()
+            fold.builder.lookup_hits for fold, _ in self._shards.values()
         )
         merged.cache_misses = self._cache.misses
         if isinstance(self.classifier, PersistentClassifier):

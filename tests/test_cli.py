@@ -1,10 +1,16 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -703,6 +709,38 @@ class TestGracefulInterrupt:
         executor = ProcessPoolShardExecutor(jobs=2)
         with pytest.raises(KeyboardInterrupt):
             executor.map_shards(list(range(4)), work=_interrupt_in_worker)
+
+
+class TestBrokenPipe:
+    """A reader that closes the pipe early (``| grep -q``) ends the
+    command with exit status 1 and no traceback."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_reader_exits_1_without_traceback(
+        self, tmp_path, capsys, unbuffered
+    ):
+        cache = str(tmp_path / "cache")
+        assert main(["classify", "email", "age", "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "cache", "stats", "--cache-dir", cache],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                cwd=REPO_ROOT,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1, completed.stderr.decode()
+        assert b"Traceback" not in completed.stderr
 
 
 def _interrupt_in_worker(task):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import pickle
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from repro import CorpusConfig, DiffAudit
 from repro.datatypes.base import Classification
 from repro.datatypes.cache import CachingClassifier
+from repro.destinations.blocklists import default_blocklists
+from repro.destinations.entities import default_entity_db
 from repro.destinations.party import PartyLabel
+from repro.flows.builder import FlowBuilder
 from repro.flows.dataflow import (
     FlowObservation,
     FlowTable,
@@ -25,16 +30,20 @@ from repro.linkability.analysis import (
 )
 from repro.model import ALL_COLUMNS, Platform, TraceColumn
 from repro.ontology.nodes import Level3
+from repro.pipeline.corpus import CorpusProcessor
 from repro.pipeline.dataset import DatasetSummary, ServiceDatasetStats
 from repro.pipeline.engine import (
     AuditEngine,
     PackedShardResult,
     ProcessPoolShardExecutor,
     SequentialExecutor,
+    ShardFold,
     ShardResult,
     _decode_unit_payload,
+    default_classifier,
     executor_for,
     generate_corpus_artifacts,
+    labeler_for,
     pack_shard_result,
     partition_costs,
     process_shard,
@@ -292,6 +301,10 @@ def _echo_index(item: _CostedItem) -> int:
     return item.index
 
 
+def _worker_pid(item: _CostedItem) -> int:
+    return os.getpid()
+
+
 class TestSizeBalancedScheduling:
     """Cost estimation, shard splitting, and unordered execution."""
 
@@ -405,10 +418,79 @@ class TestExecutorSelection:
             output = AuditEngine(config=self.CONFIG, replay=replay, jobs=jobs).run()
             assert output.profile["executor"] == kind
 
-    def test_pools_short_circuit_single_tasks(self):
-        items = [_CostedItem(0, 1.0)]
-        pool = ProcessPoolShardExecutor(jobs=4)
-        assert pool.map_shards(items, work=_echo_index) == [0]
+    def test_lone_task_runs_in_a_child_process(self):
+        # One task gets the pool's crash isolation like any other: it
+        # runs in a worker process, never in the parent.
+        (pid,) = ProcessPoolShardExecutor(jobs=4).map_shards(
+            [_CostedItem(0, 1.0)], work=_worker_pid
+        )
+        assert pid != os.getpid()
+
+
+@lru_cache(maxsize=1)
+def _fold_inputs():
+    """One service's parsed traces and an inner classifier, built once."""
+    config = CorpusConfig(scale=0.002, seed=3, services=("tiktok",))
+    (spec,) = config.service_specs()
+    return spec, list(CorpusProcessor(config=config)), default_classifier()
+
+
+def _fold(build_after: frozenset[int], per_trace: bool):
+    """Fold the traces through a fresh fold and classifier stack,
+    building after each trace index in ``build_after`` and after the
+    last; into one target, or one per trace as dirty units are."""
+    spec, traces, inner = _fold_inputs()
+    cache = CachingClassifier(inner)
+    fold = ShardFold(
+        spec.key,
+        labeler_for(spec, default_entity_db(), default_blocklists()),
+        FlowBuilder(classifier=cache),
+    )
+    targets: list[ShardResult] = []
+    for index, parsed in enumerate(traces):
+        if per_trace or not targets:
+            targets.append(
+                ShardResult(spec.key, FlowTable(), DatasetSummary(), set(), set())
+            )
+        fold.add(parsed, targets[-1])
+        if index in build_after:
+            fold.build()
+    fold.build()
+    for target in targets:
+        fold.label(target)
+    counters = (
+        cache.hits,
+        cache.misses,
+        fold.builder.lookup_hits,
+        fold.builder.classified_keys,
+    )
+    return [pack_shard_result(target) for target in targets], counters
+
+
+@lru_cache(maxsize=2)
+def _single_build(per_trace: bool):
+    """The reference: one build, after the last trace."""
+    return _fold(frozenset(), per_trace)
+
+
+class TestShardFoldBuildPlacement:
+    """Where ``ShardFold.build`` runs — once per task as the engine
+    does, after every trace as the stream does, or anywhere between —
+    changes neither the folded results nor the classifier counters, so
+    batch ≡ stream holds at the fold by construction."""
+
+    @given(build_after=st.frozensets(st.integers(0, 13)), per_trace=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_build_placement_never_changes_the_fold(self, build_after, per_trace):
+        packed, counters = _fold(build_after, per_trace)
+        reference_packed, reference_counters = _single_build(per_trace)
+        assert len(packed) == len(reference_packed)
+        for result, reference in zip(packed, reference_packed):
+            for item in dataclasses.fields(PackedShardResult):
+                assert getattr(result, item.name) == getattr(
+                    reference, item.name
+                ), item.name
+        assert counters == reference_counters
 
 
 class TestSlimTasks:

@@ -311,6 +311,31 @@ class TestPoisonBisection:
         assert entry.error == "WorkerCrash"
         assert entry.digest and entry.digest != "unavailable"
 
+    def test_lone_dirty_poison_unit_is_still_quarantined(
+        self, pristine_corpus, tmp_path
+    ):
+        # The warm rerun's one dirty unit is the poison, so the pool
+        # gets a single task: it must still crash in a worker and be
+        # quarantined, never run in the parent.
+        poison = self._poison_name(pristine_corpus)
+        plan = FaultPlan("none", poison_unit=poison)
+        reference = result_to_json(
+            DiffAudit(
+                CONFIG, replay=pristine_corpus, jobs=2, keep_going=True, faults=plan
+            ).run()
+        )
+        for run in ("cold", "warm"):
+            result = DiffAudit(
+                CONFIG,
+                replay=pristine_corpus,
+                jobs=2,
+                keep_going=True,
+                faults=plan,
+                cache_dir=tmp_path / "cache",
+            ).run()
+            assert [entry.unit for entry in result.degraded] == [poison], run
+            assert result_to_json(result) == reference, run
+
     def test_strict_mode_names_the_poison_unit(self, pristine_corpus):
         poison = self._poison_name(pristine_corpus)
         with pytest.raises(ReplayError, match=poison):

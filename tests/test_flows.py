@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.datatypes.extract import extract_from_request
 from repro.destinations.party import DestinationLabeler, PartyLabel
 from repro.flows import FlowBuilder, FlowObservation, FlowTable, GroundTruthClassifier
 from repro.flows.dataflow import cell_for
@@ -157,9 +158,24 @@ class TestFlowBuilder:
             body=json.dumps(body).encode(),
         )
 
+    @staticmethod
+    def _flows(builder, request, labeler, service, platform, kind, age):
+        """All flows ``request`` produces: its keys extracted, as the
+        engine's shard fold does, then built for its destination."""
+        return builder.flows_for_destination(
+            request.url.fqdn,
+            labeler,
+            service=service,
+            platform=platform,
+            kind=kind,
+            age=age,
+            keys=[item.key for item in extract_from_request(request)],
+        )
+
     def test_flows_constructed(self, builder, labeler):
         request = self._request("ad.doubleclick.net", {"email": "a@b.c", "lang": "en"})
-        flows = builder.flows_for_request(
+        flows = self._flows(
+            builder,
             request,
             labeler,
             service="roblox",
@@ -176,16 +192,16 @@ class TestFlowBuilder:
 
     def test_unknown_keys_dropped(self, builder, labeler):
         request = self._request("www.roblox.com", {"internal_junk": 1})
-        flows = builder.flows_for_request(
-            request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
+        flows = self._flows(
+            builder, request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
         )
         assert flows == []
 
     def test_duplicate_types_collapse_per_request(self, builder, labeler):
         request = self._request("www.roblox.com", {"email": "x", "gaid": "y"})
         request.url = parse_url("https://www.roblox.com/x?email=z")
-        flows = builder.flows_for_request(
-            request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
+        flows = self._flows(
+            builder, request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
         )
         contact = [f for f in flows if f.level3 is Level3.CONTACT_INFORMATION]
         assert len(contact) == 1
@@ -202,19 +218,19 @@ class TestFlowBuilder:
         builder = FlowBuilder(classifier=HalfConfident(), confidence_threshold=0.8)
         request = self._request("www.roblox.com", {"age": 9})
         assert (
-            builder.flows_for_request(
-                request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.CHILD
+            self._flows(
+                builder, request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.CHILD
             )
             == []
         )
 
     def test_classification_memoized(self, builder, labeler):
         request = self._request("www.roblox.com", {"email": "x"})
-        builder.flows_for_request(
-            request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
+        self._flows(
+            builder, request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
         )
         assert builder.classified_keys == 1
-        builder.flows_for_request(
-            request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
+        self._flows(
+            builder, request, labeler, "roblox", Platform.WEB, TraceKind.LOGGED_IN, AgeGroup.ADULT
         )
         assert builder.classified_keys == 1
