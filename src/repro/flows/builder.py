@@ -23,7 +23,6 @@ from typing import Iterable
 from repro.datatypes.base import Classification, Classifier
 from repro.datatypes.cache import CachingClassifier
 from repro.destinations.party import DestinationLabeler
-from repro.flows.dataflow import FlowObservation
 from repro.model import AgeGroup, Platform, TraceColumn, TraceKind
 from repro.net.psl import esld as esld_of
 from repro.ontology.nodes import Level3
@@ -123,37 +122,41 @@ class FlowBuilder:
         kind: TraceKind,
         age: AgeGroup | None,
         keys: list[str],
-    ) -> list[FlowObservation]:
+    ) -> list[tuple]:
         """All data flows one outgoing request to ``fqdn`` produces.
 
         ``keys`` are the request's extracted raw keys
         (:func:`repro.datatypes.extract.extract_from_request`): the
         engine extracts them first, so request bodies can be dropped
         before classification, then builds flows from ``(fqdn, keys)``
-        pairs here.  At most one flow per level-3 category.
+        pairs here.  At most one flow per level-3 category.  Each flow
+        is a row for :meth:`repro.flows.dataflow.FlowTable.extend`:
+        the values of a :class:`repro.flows.dataflow.FlowObservation`'s
+        fields in declaration order, which the table packs as it
+        appends them (``FlowObservation(*row)`` builds the object).
         """
         column = TraceColumn.for_trace(kind, age)
         destination = labeler.label(fqdn)
-        observations: list[FlowObservation] = []
+        rows: list[tuple] = []
         seen: set[Level3] = set()
         labels = self.labels_for_keys(keys)
         for key, label in zip(keys, labels):
             if label is None or label in seen:
                 continue
             seen.add(label)
-            observations.append(
-                FlowObservation(
-                    service=service,
-                    column=column,
-                    platform=platform,
-                    level3=label,
-                    fqdn=destination.fqdn,
-                    esld=destination.esld or esld_of(destination.fqdn),
-                    party=destination.party,
-                    raw_key=key,
+            rows.append(
+                (
+                    service,
+                    column,
+                    platform,
+                    label,
+                    destination.fqdn,
+                    destination.esld or esld_of(destination.fqdn),
+                    destination.party,
+                    key,
                 )
             )
-        return observations
+        return rows
 
     @property
     def classified_keys(self) -> int:

@@ -44,12 +44,14 @@ class TlsError(ValueError):
     """Raised on malformed records or missing key material."""
 
 
-# Per-record keystream memo.  The derivation is deterministic in
-# (secret, client_random), and the audit pipeline derives each record's
-# keystream twice in one process — once encrypting at capture time,
-# once decrypting the archived artifact — so the second derivation is a
-# lookup.  Bounded: cleared wholesale when full (records are
-# encrypt-then-decrypted trace by trace, so locality is tight).
+# Per-record keystream memo, (secret, client_random) -> keystream.
+# The derivation is deterministic, and an in-memory audit derives each
+# record's keystream twice in one process — encrypting at capture time,
+# then decrypting what it captured — so encrypt_stream leaves each
+# keystream here and decrypt_record takes it back out.  Decoding a
+# capture from disk finds nothing here and stores nothing.  Bounded:
+# cleared wholesale when full (records are encrypt-then-decrypted trace
+# by trace, so locality is tight).
 _KEYSTREAM_CACHE: dict[tuple[bytes, bytes], bytes] = {}
 _KEYSTREAM_CACHE_MAX = 2048
 
@@ -61,13 +63,9 @@ def _keystream(secret: bytes, client_random: bytes, length: int) -> bytes:
     per-block length rescans), but the derivation itself is frozen —
     it defines the bytes of every archived capture.
     """
-    key = (secret, client_random)
-    cached = _KEYSTREAM_CACHE.get(key)
-    if cached is not None and len(cached) >= length:
-        return cached[:length]
-    out = bytearray(cached if cached is not None else b"")
+    out = bytearray()
     base = hashlib.sha256(secret + client_random)
-    counter = len(out) // 32
+    counter = 0
     while len(out) < length:
         # digest(prefix || counter) via one cloned running hash: the
         # shared 64-byte prefix is compressed once per call, not once
@@ -76,11 +74,7 @@ def _keystream(secret: bytes, client_random: bytes, length: int) -> bytes:
         block.update(_U64.pack(counter))
         out += block.digest()
         counter += 1
-    if len(_KEYSTREAM_CACHE) >= _KEYSTREAM_CACHE_MAX:
-        _KEYSTREAM_CACHE.clear()
-    full = bytes(out)
-    _KEYSTREAM_CACHE[key] = full
-    return full[:length]
+    return bytes(out[:length])
 
 
 def _xor(data, keystream: bytes) -> bytes:
@@ -120,9 +114,11 @@ def encrypt_stream(plaintext: bytes, session: TlsSession) -> bytes:
     offset = 0
     for start in range(0, len(plaintext), MAX_RECORD_LEN):
         chunk = plaintext[start : start + MAX_RECORD_LEN]
-        keystream = _keystream(
-            session.secret, session.client_random + _U64.pack(offset), len(chunk)
-        )
+        key = (session.secret, session.client_random + _U64.pack(offset))
+        keystream = _keystream(*key, len(chunk))
+        if len(_KEYSTREAM_CACHE) >= _KEYSTREAM_CACHE_MAX:
+            _KEYSTREAM_CACHE.clear()
+        _KEYSTREAM_CACHE[key] = keystream
         ciphertext = _xor(chunk, keystream)
         out += _RECORD_HEADER.pack(RECORD_TYPE_APPDATA, RECORD_VERSION, len(ciphertext))
         out += ciphertext
@@ -233,11 +229,13 @@ def decrypt_record(body, session: TlsSession, offset: int) -> bytes:
 
     ``offset`` is the record's index among *all* records of the flow,
     handshake records included — the counter :func:`encrypt_stream`
-    advanced once per record it wrote.
+    advanced once per record it wrote.  A keystream an in-process
+    :func:`encrypt_stream` left in the memo is taken out of it.
     """
-    keystream = _keystream(
-        session.secret, session.client_random + _U64.pack(offset), len(body)
-    )
+    key = (session.secret, session.client_random + _U64.pack(offset))
+    keystream = _KEYSTREAM_CACHE.pop(key, None)
+    if keystream is None or len(keystream) != len(body):
+        keystream = _keystream(*key, len(body))
     _RECORDS.inc()
     _PLAINTEXT_BYTES.inc(len(body))
     return _xor(body, keystream)

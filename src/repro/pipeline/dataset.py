@@ -44,13 +44,6 @@ class DatasetSummary:
         stats.packets += trace.packet_count
         stats.tcp_flows += trace.flow_count
 
-    def merge(self, other: "DatasetSummary") -> None:
-        """Fold another summary (e.g. one shard's slice) into this one."""
-        for service, stats in other.per_service.items():
-            self.add_counts(
-                service, stats.fqdns, stats.eslds, stats.packets, stats.tcp_flows
-            )
-
     def add_counts(
         self,
         service: str,

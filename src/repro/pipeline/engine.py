@@ -9,7 +9,9 @@ another's state.  The engine exploits that:
 1. **shard** — one :class:`ShardTask` per configured service;
 2. **capture/parse/classify/flow-build** — :func:`process_shard` runs
    the whole per-service stage through a :class:`ShardFold` (the fold
-   the streaming session shares) and returns a :class:`ShardResult`;
+   the streaming session shares) and returns its :class:`ShardResult`
+   packed (:func:`pack_shard_result`), in-process and in a pool worker
+   alike;
 3. **merge** — shard results fold into one :class:`FlowTable` and
    :class:`DatasetSummary` in service-spec order, so the merged state
    is byte-for-byte what the sequential loop produces;
@@ -71,17 +73,14 @@ from repro.datatypes.store import (
 )
 from repro.destinations.blocklists import BlockListCollection
 from repro.destinations.entities import EntityDatabase
-from repro.destinations.party import DestinationLabeler
+from repro.destinations.party import DestinationLabeler, PartyLabel
 from repro.faults.plan import FAULTS_FIRED, FaultPlan
 from repro.flows.builder import FlowBuilder
-from repro.flows.dataflow import (
-    PACKED_ROW,
-    FlowTable,
-    pack_indexes,
-    unpack_indexes,
-)
+from repro.flows.dataflow import FlowTable, pack_indexes, unpack_indexes
+from repro.model import Platform, TraceColumn
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import SpanRecorder
+from repro.ontology.nodes import Level3
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
 from repro.pipeline.dataset import DatasetSummary
 from repro.pipeline.profile import StageTimer
@@ -484,7 +483,8 @@ class ShardFold:
     * :meth:`build` classifies the keys of every trace added since the
       last build in ONE descent through the classifier stack — one
       persistent-store round-trip, one inner batch — then builds their
-      flows from the kept pairs, every lookup an in-memory hit;
+      flows from the kept pairs, every lookup an in-memory hit, and
+      appends them to each target's table as packed rows;
     * :meth:`label` registers party and owner for every host a target
       contacted, so destination-only (opaque) contacts count too.  It
       is idempotent: registration never overrides a label.
@@ -525,16 +525,17 @@ class ShardFold:
         with self.timer.stage("flow_build"):
             for target, meta, requests in self._pending:
                 for fqdn, keys in requests:
-                    observations = self.builder.flows_for_destination(
-                        fqdn,
-                        self.labeler,
-                        service=self.service,
-                        platform=meta.platform,
-                        kind=meta.kind,
-                        age=meta.age,
-                        keys=keys,
+                    target.flows.extend(
+                        self.builder.flows_for_destination(
+                            fqdn,
+                            self.labeler,
+                            service=self.service,
+                            platform=meta.platform,
+                            kind=meta.kind,
+                            age=meta.age,
+                            keys=keys,
+                        )
                     )
-                    target.flows.extend(observations)
         self._pending = []
         self._key_lists = []
 
@@ -546,25 +547,40 @@ class ShardFold:
                 target.owners[host] = label.owner
 
 
-def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
+def process_shard(task: ShardTask) -> PackedShardResult | list[PackedShardResult]:
     """Run capture → parse → classify → flow-build for one service.
 
     Drains the trace source (generation or artifact decode) into a
     :class:`ShardFold`, builds once — so the whole shard costs one
-    classifier-stack descent instead of one per trace — and labels
-    each result's contacted hosts.  Wall time is attributed per stage
-    in ``ShardResult.stage_times``.
+    classifier-stack descent instead of one per trace — labels each
+    result's contacted hosts and returns the result packed.  Wall time
+    is attributed per stage in ``stage_times``.
 
     A task with ``unit_digests`` (an incremental run's dirty units)
     runs the same setup and the same single descent, but folds each
     unit into a result of its own: exactly what a one-unit task
-    computes.  It packs each unit's result once, writes them all to
-    the unit store in one call through its own classifier stack's
-    store, and returns them in unit order, followed by one result with
-    no rows that carries the task's counters, stage times and
-    quarantined units.  Stored rows carry none of those; a quarantined
-    unit has no result at all.
+    computes.  It writes the packed unit results to the unit store in
+    one call through its own classifier stack's store, and returns
+    them in unit order, followed by one result with no rows that
+    carries the task's counters, stage times and quarantined units.
+    Stored rows carry none of those; a quarantined unit has no result
+    at all.
+
+    In a pool worker the task's metrics delta rides back on its own
+    (last) result: the worker registry is reset first — pool workers
+    run tasks serially, so the end-of-task snapshot IS the delta — and
+    absorbed parent-side in canonical order.  In the parent
+    (sequentially, or as the crash-recovery fallback) the increments
+    land in the parent registry already, so nothing is reset and no
+    snapshot ships.  A process that never imported
+    ``multiprocessing`` is no pool worker.
     """
+    multiprocessing = sys.modules.get("multiprocessing")
+    in_pool_worker = (
+        multiprocessing is not None and multiprocessing.parent_process() is not None
+    )
+    if in_pool_worker:
+        REGISTRY.reset()
     _apply_worker_faults(task)
     timer = StageTimer()
     with timer.stage("setup"):
@@ -643,22 +659,24 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
         shard.store_misses = persistent.misses - store_misses_before
     shard.stage_times = timer.times
     shard.degraded = degraded
-    if digests is None:
-        return shard
-    # Let each unpacked table go before the rows are pickled, as a
-    # plain shard's does before it is packed.
-    units = [pack_shard_result(target) for target in targets]
-    targets.clear()
-    with timer.stage("store_put"):
-        _put_unit_results(
-            persistent,
-            task.epoch,
-            [
-                (digests[name], task.service, pickle.dumps(unit))
-                for name, unit in zip(names, units)
-            ],
-        )
-    return units + [pack_shard_result(shard)]
+    units: list[PackedShardResult] = []
+    if digests is not None:
+        # Let each table go before the rows are pickled.
+        units = [pack_shard_result(target) for target in targets]
+        targets.clear()
+        with timer.stage("store_put"):
+            _put_unit_results(
+                persistent,
+                task.epoch,
+                [
+                    (digests[name], task.service, pickle.dumps(unit))
+                    for name, unit in zip(names, units)
+                ],
+            )
+    own = pack_shard_result(shard)
+    if in_pool_worker:
+        own.metrics = REGISTRY.snapshot()
+    return own if digests is None else units + [own]
 
 
 # ----------------------------------------------------------------------
@@ -670,21 +688,19 @@ def process_shard(task: ShardTask) -> ShardResult | list[PackedShardResult]:
 class PackedShardResult:
     """A :class:`ShardResult` flattened for cheap pickling and storage.
 
-    A raw ``ShardResult`` pickles its :class:`FlowTable` roll-ups
-    (grid, per-destination sets, party map) alongside the observation
-    list they are derived from, and every observation as an object
-    with eight attribute slots.  The packed form interns every field
-    value — strings and enums alike — into one pool and encodes
-    everything else as fixed-width pool indexes: each observation is
-    one :data:`repro.flows.dataflow.PACKED_ROW` record in
-    ``observations``, and each index set is one ``bytes``
+    Every value — strings and enums alike — is interned into one pool
+    and everything else is encoded as fixed-width pool indexes: each
+    observation is one :data:`repro.flows.dataflow.PACKED_ROW` record
+    in ``observations``, and each index set is one ``bytes``
     (:func:`repro.flows.dataflow.pack_indexes`; pairs and triples run
-    flat).  Roll-ups are dropped entirely, and so is the dataset's
-    fqdn set, which equals ``contacted``.  This is the form a pool
-    worker ships and the unit store keeps.  Nothing unpacks it:
-    :meth:`AuditEngine.merge` folds ``pool``, ``observations`` and
-    ``parties`` straight into the corpus table
-    (:meth:`FlowTable.merge_packed`), which keeps the rows as they are.
+    flat).  The shard's :class:`FlowTable` holds its rows in this form
+    already; the dataset's fqdn set, which equals ``contacted``, is
+    dropped.  This is the form every shard result leaves
+    :func:`process_shard` in, a pool worker ships and the unit store
+    keeps.  Nothing unpacks it: :meth:`AuditEngine.merge` folds
+    ``pool``, ``observations`` and ``parties`` straight into the
+    corpus table (:meth:`FlowTable.merge_packed`), which keeps the
+    rows as they are.
     """
 
     service: str
@@ -716,11 +732,14 @@ class PackedShardResult:
 def pack_shard_result(result: ShardResult) -> PackedShardResult:
     """Flatten one shard result into its compact transport form.
 
-    A shard's dataset holds its own service's row only, whose fqdns
-    are the shard's contacted hosts; the packed form keeps the rest of
-    that row.
+    The shard table's pool and rows are taken as they are (see
+    :meth:`FlowTable.packed`).  Only the shard's own sets are interned
+    after them: its party map, contacted hosts, raw keys, owners and
+    dataset row.  A shard's dataset holds its own service's row only,
+    whose fqdns are the shard's contacted hosts; the packed form keeps
+    the rest of that row.
     """
-    indexes: dict = {}
+    indexes, observations, labels = result.flows.packed()
 
     def intern(value: object) -> int:
         index = indexes.get(value)
@@ -729,24 +748,10 @@ def pack_shard_result(result: ShardResult) -> PackedShardResult:
             indexes[value] = index
         return index
 
-    row = PACKED_ROW.pack
-    observations = b"".join(
-        row(
-            intern(o.service),
-            intern(o.column),
-            intern(o.platform),
-            intern(o.level3),
-            intern(o.fqdn),
-            intern(o.esld),
-            intern(o.party),
-            intern(o.raw_key),
-        )
-        for o in result.flows.observations()
-    )
     parties = pack_indexes(
         [
             index
-            for (service, fqdn), party in result.flows._party_by_fqdn.items()
+            for (service, fqdn), party in labels.items()
             for index in (intern(service), intern(fqdn), intern(party))
         ]
     )
@@ -784,34 +789,6 @@ def pack_shard_result(result: ShardResult) -> PackedShardResult:
     return packed
 
 
-def _process_shard_packed(
-    task: ShardTask,
-) -> PackedShardResult | list[PackedShardResult]:
-    """Pool-worker entry point: process a shard, ship it packed.
-
-    A dirty-unit task's results are packed already (see
-    :func:`process_shard`); the last of them is the task's own.  In a
-    real pool worker the task's metrics delta rides back on that
-    result: the worker registry is reset before the task (pool
-    workers run tasks serially, so the end-of-task snapshot IS the
-    delta) and absorbed parent-side in canonical order.  When this
-    function runs in the *parent* (the crash-recovery fallback) the
-    increments already landed in the parent registry — resetting it
-    would destroy the run's telemetry, so no snapshot ships.
-    """
-    import multiprocessing
-
-    in_pool_worker = multiprocessing.parent_process() is not None
-    if in_pool_worker:
-        REGISTRY.reset()
-    result = process_shard(task)
-    packed = pack_shard_result(result) if isinstance(result, ShardResult) else result
-    if in_pool_worker:
-        own = packed[-1] if isinstance(packed, list) else packed
-        own.metrics = REGISTRY.snapshot()
-    return packed
-
-
 # ----------------------------------------------------------------------
 # Incremental replay (per-unit result cache)
 # ----------------------------------------------------------------------
@@ -826,8 +803,9 @@ def _decode_unit_payload(payload: bytes, service: str) -> PackedShardResult | No
     caller deletes the row and treats the unit as dirty, so the worst
     a damaged row can cost is one recomputation.  So is one that
     unpickles but whose index fields are not whole records of indexes
-    into its pool (:func:`_packed_indexes_valid`): folding it would
-    fail, or read the wrong values, mid-merge.
+    into its pool, each at a value of the kind its position holds
+    (:func:`_packed_indexes_valid`): folding it would fail, or read
+    the wrong values, mid-merge.
     """
     try:
         packed = pickle.loads(payload)
@@ -848,33 +826,56 @@ def _decode_unit_payload(payload: bytes, service: str) -> PackedShardResult | No
     return packed if _packed_indexes_valid(packed) else None
 
 
+#: The kind of value each position of a packed row points at.
+_ROW_KINDS = (str, TraceColumn, Platform, Level3, str, str, PartyLabel, str)
+
+
 def _packed_indexes_valid(packed: PackedShardResult) -> bool:
     """Whether every index field of ``packed`` is a ``bytes`` of whole
-    records whose indexes all fall inside its pool.
+    records whose indexes all fall inside its pool, each at a value of
+    the kind its position holds.
 
     The indexes are unpacked into one temporary tuple for the bound
-    check; no object built here outlives it.
+    check and the kind check reads it too, once per distinct index
+    and kind; no object built here outlives the call.
     """
-    # (field, record width in bytes); one index is 4 bytes.
-    fields = [
-        (packed.observations, PACKED_ROW.size),
-        (packed.parties, 3 * 4),
-        (packed.contacted, 4),
-        (packed.raw_keys, 4),
-        (packed.owners, 2 * 4),
+    # (field, the kind at each position of its records); one index is
+    # 4 bytes.
+    fields: list[tuple[bytes, tuple]] = [
+        (packed.observations, _ROW_KINDS),
+        (packed.parties, (str, str, PartyLabel)),
+        (packed.contacted, (str,)),
+        (packed.raw_keys, (str,)),
+        (packed.owners, (str, (str, type(None)))),
     ]
     dataset = packed.dataset
     if dataset is not None:
         if not (isinstance(dataset, tuple) and len(dataset) == 3):
             return False
-        fields.append((dataset[2], 4))
-    if not isinstance(packed.pool, tuple) or any(
-        not isinstance(data, bytes) or len(data) % width
-        for data, width in fields
+        fields.append((dataset[2], (str,)))
+    pool = packed.pool
+    if not isinstance(pool, tuple) or any(
+        not isinstance(data, bytes) or len(data) % (4 * len(kinds))
+        for data, kinds in fields
     ):
         return False
-    indexes = b"".join(data for data, _ in fields)
-    return not indexes or max(unpack_indexes(indexes)) < len(packed.pool)
+    flat = unpack_indexes(b"".join(data for data, _ in fields))
+    if flat and max(flat) >= len(pool):
+        return False
+    wanted: dict[type | tuple, set[int]] = {}
+    start = 0
+    for data, kinds in fields:
+        stop = start + len(data) // 4
+        for position, kind in enumerate(kinds):
+            wanted.setdefault(kind, set()).update(
+                flat[start + position : stop : len(kinds)]
+            )
+        start = stop
+    return all(
+        isinstance(pool[index], kind)
+        for kind, indexes in wanted.items()
+        for index in indexes
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1329,7 +1330,7 @@ def executor_for(jobs: int) -> ShardExecutor:
 # ----------------------------------------------------------------------
 
 
-def _isolate_poison_units(task: ShardTask, work: Callable) -> list[TraceUnit]:
+def _isolate_poison_units(task: ShardTask) -> list[TraceUnit]:
     """Bisect a repeatedly-crashing replay shard down to its poison units.
 
     Splits the shard's unit slice in half and probes each half in a
@@ -1357,8 +1358,8 @@ def _isolate_poison_units(task: ShardTask, work: Callable) -> list[TraceUnit]:
         # pending future (BrokenProcessPool taints every in-flight
         # future), and a clean unit would get blamed at singleton depth.
         _BISECTION_PROBES.inc()
-        if isinstance(probe.map_shards([half], work=work)[0], ShardCrash):
-            poisons.extend(_isolate_poison_units(half, work))
+        if isinstance(probe.map_shards([half], work=process_shard)[0], ShardCrash):
+            poisons.extend(_isolate_poison_units(half))
     return poisons
 
 
@@ -1515,18 +1516,18 @@ class AuditEngine:
         ]
 
     @staticmethod
-    def merge(results: list[ShardResult | PackedShardResult]) -> EngineOutput:
+    def merge(results: list[PackedShardResult]) -> EngineOutput:
         """Fold ordered shard results into corpus-wide state.
 
         Results must arrive in canonical order: service-spec order,
         then sub-shard (trace-unit) order within a split service.  A
         service's sub-shard results are folded exactly as one whole-
         service result would be — contacted sets union, counters sum.
-        A packed result (a pool worker's, or a cached unit's) folds
-        as the in-process result it was packed from would: its rows
-        go into the corpus table as they are, and its index sets are
-        read through its pool.  Every extracted key is classified, so
-        the classified-key count is the number of raw keys.
+        Every result is packed, whoever computed it — in-process, a
+        pool worker, the unit store or a stream snapshot: its rows go
+        into the corpus table as they are, and its index sets are read
+        through its pool.  Every extracted key is classified, so the
+        classified-key count is the number of raw keys.
         """
         flows = FlowTable()
         dataset = DatasetSummary()
@@ -1537,32 +1538,23 @@ class AuditEngine:
         hits = misses = store_hits = store_misses = 0
         degraded: list[DegradedUnit] = []
         for result in results:
-            hosts = contacted.setdefault(result.service, set())
-            if isinstance(result, PackedShardResult):
-                pool = result.pool
-                flows.merge_packed(pool, result.observations, result.parties)
-                shard_hosts = [pool[i] for i in unpack_indexes(result.contacted)]
-                hosts.update(shard_hosts)
-                raw_keys.update(pool[i] for i in unpack_indexes(result.raw_keys))
-                pairs = unpack_indexes(result.owners)
-                for fqdn_i, owner_i in zip(pairs[::2], pairs[1::2]):
-                    owners[(result.service, pool[fqdn_i])] = pool[owner_i]
-                if result.dataset is not None:
-                    packets, tcp_flows, eslds = result.dataset
-                    dataset.add_counts(
-                        result.service,
-                        shard_hosts,
-                        (pool[i] for i in unpack_indexes(eslds)),
-                        packets,
-                        tcp_flows,
-                    )
-            else:
-                flows.merge(result.flows)
-                hosts.update(result.contacted)
-                raw_keys.update(result.raw_keys)
-                for fqdn, owner in result.owners.items():
-                    owners[(result.service, fqdn)] = owner
-                dataset.merge(result.dataset)
+            pool = result.pool
+            flows.merge_packed(pool, result.observations, result.parties)
+            shard_hosts = [pool[i] for i in unpack_indexes(result.contacted)]
+            contacted.setdefault(result.service, set()).update(shard_hosts)
+            raw_keys.update(pool[i] for i in unpack_indexes(result.raw_keys))
+            pairs = unpack_indexes(result.owners)
+            for fqdn_i, owner_i in zip(pairs[::2], pairs[1::2]):
+                owners[(result.service, pool[fqdn_i])] = pool[owner_i]
+            if result.dataset is not None:
+                packets, tcp_flows, eslds = result.dataset
+                dataset.add_counts(
+                    result.service,
+                    shard_hosts,
+                    (pool[i] for i in unpack_indexes(eslds)),
+                    packets,
+                    tcp_flows,
+                )
             trace_count += result.trace_count
             hits += result.cache_hits
             misses += result.cache_misses
@@ -1719,7 +1711,7 @@ class AuditEngine:
         return slots, dirty_tasks
 
     def _resolve_crashes(
-        self, raw_results: list, work: Callable, degraded: list[DegradedUnit]
+        self, raw_results: list, degraded: list[DegradedUnit]
     ) -> list:
         """Turn :class:`ShardCrash` slots into results, quarantine, or error.
 
@@ -1743,9 +1735,9 @@ class AuditEngine:
             units = task.replay_units if isinstance(task, ShardTask) else None
             if units is None:
                 # Nothing to bisect: retry the whole shard in-process.
-                resolved[index] = work(task)
+                resolved[index] = process_shard(task)
                 continue
-            poisons = _isolate_poison_units(task, work)
+            poisons = _isolate_poison_units(task)
             poison_names = {unit.meta.name for unit in poisons}
             if poisons and not self.keep_going:
                 unit = poisons[0]
@@ -1775,7 +1767,7 @@ class AuditEngine:
             if not remainder:
                 resolved[index] = None
                 continue
-            resolved[index] = work(
+            resolved[index] = process_shard(
                 dataclasses.replace(task, replay_units=remainder)
             )
         return resolved
@@ -1803,7 +1795,7 @@ class AuditEngine:
                     # From here on ``tasks`` covers the dirty units
                     # only: one task per run of consecutive dirty units.
                     slots, tasks = partition
-            packed = False
+            pooled = False
             if isinstance(executor, SequentialExecutor):
                 # In-process shards can share one classification
                 # cache, so keys common to several services classify
@@ -1820,15 +1812,14 @@ class AuditEngine:
                 if self.replay is None:
                     _import_generation()
                 self._slim_tasks(tasks)
-                packed = True
-        work = _process_shard_packed if packed else process_shard
+                pooled = True
         _TASKS_DISPATCHED.inc(len(tasks))
         with timer.stage("execute"):
-            raw_results = executor.map_shards(tasks, work=work)
+            raw_results = executor.map_shards(tasks, work=process_shard)
         crash_degraded: list[DegradedUnit] = []
         if any(isinstance(raw, ShardCrash) for raw in raw_results):
-            raw_results = self._resolve_crashes(raw_results, work, crash_degraded)
-        if packed:
+            raw_results = self._resolve_crashes(raw_results, crash_degraded)
+        if pooled:
             # Fold worker-side metric deltas into the parent registry
             # in canonical task order (raw_results is in input order),
             # so the merged telemetry is the same whatever order
@@ -1840,7 +1831,7 @@ class AuditEngine:
                     own = raw[-1] if isinstance(raw, list) else raw
                     if own is not None and own.metrics is not None:
                         REGISTRY.absorb(own.metrics)
-        results: list[ShardResult | PackedShardResult] = []
+        results: list[PackedShardResult] = []
         unit_hits = unit_misses = 0
         if slots is None:
             results = [result for result in raw_results if result is not None]

@@ -15,8 +15,9 @@ beneath it) warms continuously as the stream runs — and emits rolling
 Parity: after a complete feed, :meth:`StreamAudit.result` equals the
 batch audit of the same corpus byte for byte.  Every stage reuses the
 batch machinery — ``process_shard`` folds through the same
-``ShardFold``, snapshots merge through :meth:`AuditEngine.merge`, and
-the final result is assembled by the shared
+``ShardFold``, snapshots pack each shard (``pack_shard_result``) and
+merge them through :meth:`AuditEngine.merge`, and the final result is
+assembled by the shared
 :func:`repro.pipeline.diffaudit.assemble_result` — so the only novel
 code on the result path is the incremental decoding, which is pinned
 byte-identical by its own tests.
@@ -44,6 +45,7 @@ from repro.pipeline.engine import (
     ShardFold,
     ShardResult,
     labeler_for,
+    pack_shard_result,
     prepare_classifier,
     record_run_stats,
 )
@@ -70,6 +72,14 @@ class StreamAudit:
     :class:`EngineOutput` snapshots (every ``snapshot_every`` finished
     traces), then :meth:`result` for the final
     :class:`DiffAuditResult`; or :meth:`run` to do both in one call.
+
+    Per flow observation the session keeps one 32-byte packed row in
+    its service's shard table (:data:`repro.flows.dataflow.PACKED_ROW`)
+    and nothing else: each field value is interned into the table's
+    pool once.  Decoder state is bounded by the eviction ``policy``;
+    contacted hosts, raw keys and dataset rows grow with distinct
+    values only.  Roll-ups are derived per snapshot, from the merged
+    rows, and dropped with it.
     """
 
     config: CorpusConfig = field(default_factory=CorpusConfig)
@@ -203,7 +213,7 @@ class StreamAudit:
         for spec in self.config.service_specs():
             fold, shard = self._shards[spec.key]
             fold.label(shard)
-            shards.append(shard)
+            shards.append(pack_shard_result(shard))
         merged = AuditEngine.merge(shards)
         # Classification counters are session-wide (one shared cache),
         # not per-shard; surface them on the merged view for stats.

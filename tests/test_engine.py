@@ -4,11 +4,13 @@ import dataclasses
 import json
 import os
 import pickle
+from collections import defaultdict
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import repro.pipeline.engine as engine_module
 from repro import CorpusConfig, DiffAudit
 from repro.datatypes.base import Classification
 from repro.datatypes.cache import CachingClassifier
@@ -28,12 +30,13 @@ from repro.linkability.analysis import (
     linkability_matrix,
     most_common_linkable_set,
 )
-from repro.model import ALL_COLUMNS, Platform, TraceColumn
-from repro.ontology.nodes import Level3
+from repro.model import ALL_COLUMNS, FlowCell, Platform, Presence, TraceColumn
+from repro.ontology.nodes import Level2, Level3
 from repro.pipeline.corpus import CorpusProcessor
 from repro.pipeline.dataset import DatasetSummary, ServiceDatasetStats
 from repro.pipeline.engine import (
     AuditEngine,
+    EngineOutput,
     PackedShardResult,
     ProcessPoolShardExecutor,
     SequentialExecutor,
@@ -123,9 +126,8 @@ class TestFlowTableMerge:
             shard.add(observation)
             sharded.merge(shard)
         assert sharded.observations() == direct.observations()
-        assert sharded._grid == direct._grid
-        assert sharded._per_destination == direct._per_destination
-        assert sharded._party_by_fqdn == direct._party_by_fqdn
+        # Grid, type sets, party map and ATS contacts alike.
+        assert sharded._rollups() == direct._rollups()
 
     def test_rollups_follow_later_adds(self):
         table = FlowTable()
@@ -160,32 +162,22 @@ class TestFlowTableMerge:
 
 
 class TestDatasetSummaryMerge:
+    """Shard slices fold into one summary through ``add_counts``."""
+
     def test_merge_disjoint_services(self):
-        left, right = DatasetSummary(), DatasetSummary()
-        left.per_service["a"] = ServiceDatasetStats(
-            service="a", fqdns={"x.a.com"}, eslds={"a.com"}, packets=5, tcp_flows=2
-        )
-        right.per_service["b"] = ServiceDatasetStats(
-            service="b", fqdns={"y.b.com"}, eslds={"b.com"}, packets=7, tcp_flows=3
-        )
-        left.merge(right)
-        assert left.total_packets == 12
-        assert left.total_domains == 2
+        summary = DatasetSummary()
+        summary.add_counts("a", {"x.a.com"}, {"a.com"}, packets=5, tcp_flows=2)
+        summary.add_counts("b", {"y.b.com"}, {"b.com"}, packets=7, tcp_flows=3)
+        assert summary.total_packets == 12
+        assert summary.total_domains == 2
 
     def test_merge_same_service_unions(self):
-        left, right = DatasetSummary(), DatasetSummary()
-        left.per_service["a"] = ServiceDatasetStats(
-            service="a", fqdns={"x.a.com"}, eslds={"a.com"}, packets=5, tcp_flows=2
+        summary = DatasetSummary()
+        summary.add_counts("a", {"x.a.com"}, {"a.com"}, packets=5, tcp_flows=2)
+        summary.add_counts(
+            "a", {"x.a.com", "z.a.com"}, {"a.com"}, packets=1, tcp_flows=1
         )
-        right.per_service["a"] = ServiceDatasetStats(
-            service="a",
-            fqdns={"x.a.com", "z.a.com"},
-            eslds={"a.com"},
-            packets=1,
-            tcp_flows=1,
-        )
-        left.merge(right)
-        stats = left.per_service["a"]
+        stats = summary.per_service["a"]
         assert stats.domain_count == 2
         assert stats.packets == 6
         assert stats.tcp_flows == 3
@@ -537,39 +529,57 @@ class TestPackedShardResult:
 
     @pytest.fixture(scope="class")
     def shard_result(self):
+        """youtube's shard as ``process_shard`` folded it, and what
+        ``process_shard`` returned: the shard packed."""
         config = CorpusConfig(scale=0.002, seed=3, services=("youtube",))
         (task,) = AuditEngine(config=config).shard_tasks()
-        return process_shard(task)
+        shards = []
+
+        def keep(result):
+            shards.append(result)
+            return pack_shard_result(result)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "pack_shard_result", keep)
+            packed = process_shard(task)
+        (shard,) = shards
+        return shard, packed
 
     def test_round_trip_is_faithful(self, shard_result):
-        # Folding the pickled packed result must equal merging the
-        # in-process one: roll-ups are not shipped, yet come out
-        # identical.
-        packed = pickle.loads(pickle.dumps(pack_shard_result(shard_result)))
-        direct = AuditEngine.merge([shard_result])
+        # Folding the pickled packed result reads back everything the
+        # shard folded: roll-ups are not shipped, yet come out
+        # identical to the ones the shard's own table derives.
+        shard, packed = shard_result
+        packed = pickle.loads(pickle.dumps(packed))
         folded = AuditEngine.merge([packed])
-        assert packed.service == shard_result.service
-        assert folded.flows.observations() == direct.flows.observations()
-        assert folded.flows._grid == direct.flows._grid
-        assert folded.flows._per_destination == direct.flows._per_destination
-        assert folded.flows._party_by_fqdn == direct.flows._party_by_fqdn
-        assert folded.contacted == direct.contacted
-        assert folded.raw_keys == direct.raw_keys
-        assert folded.classified_keys == direct.classified_keys
-        assert folded.classified_keys == len(direct.raw_keys)
-        assert folded.dataset == direct.dataset
-        assert folded.owners == direct.owners
-        assert folded.trace_count == direct.trace_count
-        assert folded.cache_hits == direct.cache_hits
-        assert folded.cache_misses == direct.cache_misses
+        service = shard.service
+        assert packed.service == service
+        flows, own = folded.flows, shard.flows
+        assert flows.observations() == own.observations()
+        assert len(flows) == len(own) > 0
+        assert flows.grid_for(service) == own.grid_for(service)
+        assert flows.unique_flows() == own.unique_flows()
+        assert flows._rollups() == own._rollups()
+        assert [flows.party_of(service, host) for host in shard.contacted] == [
+            own.party_of(service, host) for host in shard.contacted
+        ]
+        assert folded.contacted == {service: shard.contacted}
+        assert folded.raw_keys == shard.raw_keys
+        assert folded.classified_keys == len(shard.raw_keys)
+        assert folded.dataset == shard.dataset
+        assert folded.owners == {
+            (service, fqdn): owner for fqdn, owner in shard.owners.items()
+        }
+        assert folded.trace_count == shard.trace_count
+        assert folded.cache_hits == shard.cache_hits
+        assert folded.cache_misses == shard.cache_misses
         # The run profile's stage table folds each merged result's
-        # stage_times, packed or not.
-        assert packed.stage_times == shard_result.stage_times
+        # stage_times.
+        assert packed.stage_times == shard.stage_times
 
     def test_packed_pickle_is_smaller(self, shard_result):
-        raw = len(pickle.dumps(shard_result))
-        packed = len(pickle.dumps(pack_shard_result(shard_result)))
-        assert packed < raw
+        shard, packed = shard_result
+        assert len(pickle.dumps(packed)) < len(pickle.dumps(shard))
 
 
 _SERVICES = ("alpha", "beta", "gamma")
@@ -612,9 +622,10 @@ _registrations = st.tuples(st.sampled_from(_FQDNS), st.sampled_from(list(PartyLa
 @st.composite
 def _units(draw):
     """Units ``(service, observations, registrations, register_first,
-    packed)``.  Registrations may name hosts the unit never observed;
+    stored)``.  Registrations may name hosts the unit never observed;
     ``register_first`` registers before adding, as a stream snapshot
-    taken mid-trace does.  Observations often repeat, within a unit
+    taken mid-trace does; a ``stored`` unit's result reaches the merge
+    through pickled bytes.  Observations often repeat, within a unit
     and across units, as a trace's requests do.  Every draw also
     holds, at drawn positions, a unit with no rows and no parties and
     one whose parties are all registered-only."""
@@ -640,14 +651,20 @@ def _units(draw):
     return units
 
 
-def _unit_result(service, observations, registrations, register_first):
-    flows = FlowTable()
+def _fill(flows, service, observations, registrations, register_first):
+    """Add a unit's observations to ``flows`` and register its parties,
+    in the unit's order."""
     if not register_first:
         flows.extend(observations)
     for fqdn, party in registrations:
         flows.register_party(service, fqdn, party)
     if register_first:
         flows.extend(observations)
+    return flows
+
+
+def _unit_result(service, observations, registrations, register_first):
+    flows = _fill(FlowTable(), service, observations, registrations, register_first)
     contacted = {o.fqdn for o in observations} | {f for f, _ in registrations}
     # As process_shard: a unit that contacted nothing decoded no
     # trace, and a dataset row's fqdns are the contacted hosts.
@@ -682,20 +699,118 @@ def _round_trip(result):
     return packed
 
 
+class _EagerTable:
+    """The flow table's read API kept up observation by observation, as
+    the table once kept its roll-ups: the oracle a packed table's
+    derived roll-ups must match, orders included."""
+
+    def __init__(self):
+        self._observations = []
+        self._grid = defaultdict(set)
+        self._type_sets = {}
+        self._contacts = {}
+        self._parties = {}
+
+    def extend(self, observations):
+        for o in observations:
+            self._observations.append(o)
+            self._grid[(o.service, o.level2, o.column, o.cell)].add(o.platform)
+            if o.party.is_third_party:
+                self._type_sets.setdefault((o.service, o.column), {}).setdefault(
+                    o.fqdn, set()
+                ).add(o.level3)
+            if o.party is PartyLabel.THIRD_PARTY_ATS:
+                cell = self._contacts.setdefault((o.service, o.column), {})
+                cell[o.fqdn] = cell.get(o.fqdn, 0) + 1
+            self._parties[(o.service, o.fqdn)] = o.party
+
+    def register_party(self, service, fqdn, party):
+        self._parties.setdefault((service, fqdn), party)
+
+    def observations(self):
+        return list(self._observations)
+
+    def __len__(self):
+        return len(self._observations)
+
+    def services(self):
+        return sorted({key[0] for key in self._grid})
+
+    def grid_for(self, service):
+        grid = {}
+        for level2 in Level2:
+            for column in ALL_COLUMNS:
+                for cell in FlowCell:
+                    platforms = self._grid.get((service, level2, column, cell), set())
+                    grid[(level2, column, cell)] = Presence.from_platforms(
+                        web=bool({Platform.WEB, Platform.DESKTOP} & platforms),
+                        mobile=Platform.MOBILE in platforms,
+                    )
+        return grid
+
+    def unique_flows(self):
+        return {o.flow_pair for o in self._observations}
+
+    def third_party_type_sets(self, service, column):
+        cell = self._type_sets.get((service, column), {})
+        return {fqdn: set(types) for fqdn, types in cell.items()}
+
+    def third_party_ats_contacts(self, service, column):
+        return dict(self._contacts.get((service, column), {}))
+
+    def party_of(self, service, fqdn):
+        return self._parties.get((service, fqdn))
+
+
+def _reference_merge(units):
+    """What merging ``units`` must read back, folded the plain way:
+    every observation and registration replayed in order through one
+    :class:`_EagerTable`, every other field of each unit's result
+    folded straight in."""
+    flows = _EagerTable()
+    dataset = DatasetSummary()
+    contacted, raw_keys, owners = {}, set(), {}
+    trace_count = cache_hits = 0
+    for unit in units:
+        _fill(flows, *unit[:4])
+        result = _unit_result(*unit[:4])
+        contacted.setdefault(result.service, set()).update(result.contacted)
+        raw_keys.update(result.raw_keys)
+        for fqdn, owner in result.owners.items():
+            owners[(result.service, fqdn)] = owner
+        for stats in result.dataset.per_service.values():
+            dataset.add_counts(
+                stats.service, stats.fqdns, stats.eslds, stats.packets, stats.tcp_flows
+            )
+        trace_count += result.trace_count
+        cache_hits += result.cache_hits
+    return EngineOutput(
+        flows=flows,
+        dataset=dataset,
+        contacted=contacted,
+        raw_keys=raw_keys,
+        classified_keys=len(raw_keys),
+        owners=owners,
+        trace_count=trace_count,
+        cache_hits=cache_hits,
+    )
+
+
 class TestPackedFold:
-    """Folding packed results equals merging in-process ones."""
+    """Folding packed results equals replaying every unit's observations
+    and registrations, one by one, into one table."""
 
     @settings(max_examples=60, deadline=None)
     @given(_units())
-    def test_packed_in_process_and_mixed_merges_agree(self, units):
-        def results(packed):
+    def test_packed_merges_agree_with_eager_fold(self, units):
+        def results(stored):
             return [
-                _round_trip(_unit_result(*unit[:4])) if packed(unit)
-                else _unit_result(*unit[:4])
+                _round_trip(_unit_result(*unit[:4])) if stored(unit)
+                else pack_shard_result(_unit_result(*unit[:4]))
                 for unit in units
             ]
 
-        reference = AuditEngine.merge(results(lambda unit: False))
+        reference = _reference_merge(units)
         merges = [
             AuditEngine.merge(results(lambda unit: True)),
             AuditEngine.merge(results(lambda unit: unit[4])),
@@ -761,6 +876,17 @@ _INDEX_FIELDS = (
 )
 
 
+# The kind of value each position of a field's records holds.
+_FIELD_KINDS = {
+    "observations": (str, TraceColumn, Platform, Level3, str, str, PartyLabel, str),
+    "parties": (str, str, PartyLabel),
+    "contacted": (str,),
+    "raw_keys": (str,),
+    "owners": (str, (str, type(None))),
+    "dataset": (str,),
+}
+
+
 def _index_field(packed, name):
     if name == "dataset":
         return packed.dataset[2] if packed.dataset is not None else b""
@@ -800,6 +926,32 @@ class TestPackedDecodeValidation:
         else:
             damaged = original[: -data.draw(st.integers(1, 4 * width - 1))]
         payload = pickle.dumps(_with_index_field(packed, name, damaged))
+        assert _decode_unit_payload(payload, packed.service) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(_units(), st.data())
+    def test_index_at_a_value_of_another_kind_is_refused(self, units, data):
+        # Every index stays inside the pool, but one points at a value
+        # its position cannot hold: a string or another enum where an
+        # enum belongs, or None where a string does.
+        packed_units = [pack_shard_result(_unit_result(*unit[:4])) for unit in units]
+        assume(any(p.observations for p in packed_units))
+        packed = data.draw(st.sampled_from([p for p in packed_units if p.observations]))
+        name, width = data.draw(
+            st.sampled_from([f for f in _INDEX_FIELDS if _index_field(packed, f[0])])
+        )
+        indexes = list(unpack_indexes(_index_field(packed, name)))
+        position = data.draw(st.integers(0, len(indexes) - 1))
+        kind = _FIELD_KINDS[name][position % width]
+        wrong = [
+            index
+            for index, value in enumerate(packed.pool)
+            if not isinstance(value, kind)
+        ]
+        assume(wrong)
+        indexes[position] = data.draw(st.sampled_from(wrong))
+        damaged = _with_index_field(packed, name, pack_indexes(indexes))
+        payload = pickle.dumps(damaged)
         assert _decode_unit_payload(payload, packed.service) is None
 
 

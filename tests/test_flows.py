@@ -161,8 +161,9 @@ class TestFlowBuilder:
     @staticmethod
     def _flows(builder, request, labeler, service, platform, kind, age):
         """All flows ``request`` produces: its keys extracted, as the
-        engine's shard fold does, then built for its destination."""
-        return builder.flows_for_destination(
+        engine's shard fold does, then built for its destination, each
+        row read back as an observation."""
+        rows = builder.flows_for_destination(
             request.url.fqdn,
             labeler,
             service=service,
@@ -171,6 +172,7 @@ class TestFlowBuilder:
             age=age,
             keys=[item.key for item in extract_from_request(request)],
         )
+        return [FlowObservation(*row) for row in rows]
 
     def test_flows_constructed(self, builder, labeler):
         request = self._request("ad.doubleclick.net", {"email": "a@b.c", "lang": "en"})

@@ -288,6 +288,17 @@ def _fqdn_index_past_pool(payload: bytes) -> bytes:
     return _repacked(payload, observations=rows)
 
 
+def _party_index_at_service(payload: bytes) -> bytes:
+    """The stored result with its first row's party index pointing at
+    its pool's service string: every index stays inside the pool, but
+    a party label is not there."""
+    packed = pickle.loads(payload)
+    row = list(PACKED_ROW.unpack_from(packed.observations))
+    row[6] = packed.pool.index(packed.service)  # FlowObservation.party
+    rows = PACKED_ROW.pack(*row) + packed.observations[PACKED_ROW.size :]
+    return _repacked(payload, observations=rows)
+
+
 def _rows_cut_mid_row(payload: bytes) -> bytes:
     """The stored result with its row buffer cut half a row short."""
     packed = pickle.loads(payload)
@@ -357,10 +368,11 @@ class TestUnitResultStoreUX:
         self, pristine_corpus, tmp_path, monkeypatch
     ):
         # Each case is one damaged payload for the victim's row: one
-        # that does not unpickle, and two that do but cannot be folded.
+        # that does not unpickle, and three that do but cannot be folded.
         cases = [
             ("not-a-pickle", lambda payload: b"not a pickle"),
             ("fqdn-index-past-pool", _fqdn_index_past_pool),
+            ("party-index-at-service", _party_index_at_service),
             ("rows-cut-mid-row", _rows_cut_mid_row),
         ]
         victim = ReplayCorpus.scan(pristine_corpus).units_for("tiktok")[0]

@@ -20,7 +20,11 @@ results on those exact bytes:
   is what makes opaque contacts), must hash to
   :data:`DECODE_FINGERPRINT`.  Parity between decode paths cannot
   catch a change made to all of them at once, and fields such as
-  ``OpaqueContact.frame_count`` never reach the report.
+  ``OpaqueContact.frame_count`` never reach the report;
+* every unit's stored result from a cold incremental run must hash to
+  :data:`UNIT_RESULT_FINGERPRINT`, so a change to the stored form —
+  say, a pool interned in another order — cannot slip past parity
+  tests that compare paths within one commit.
 
 Regenerate the digest file only for an *intentional* generator change:
 ``PYTHONPATH=src python -m repro generate --output D --scale 0.002
@@ -29,12 +33,20 @@ Regenerate the digest file only for an *intentional* generator change:
 """
 
 import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro import CorpusConfig, DiffAudit
 from repro.capture.decrypt import decrypt_mobile_artifact
+from repro.cli import main
+from repro.flows.dataflow import FlowObservation
+from repro.net import tls
 from repro.net.pcap import PcapFile
 from repro.pipeline.corpus import parsed_trace_from_mobile
 from repro.pipeline.engine import generate_corpus_artifacts
@@ -52,6 +64,14 @@ DIGEST_FILE = Path(__file__).parent / "data" / "golden_corpus.sha256"
 # halved key log.  Change it only for an intentional change to decode
 # output.
 DECODE_FINGERPRINT = "7f07760394f66d1e7d7a5e09a65c19181b7a2922740482cf5db3a9956c99d264"
+# SHA-256 over every unit's stored result (sorted by unit name) after a
+# cold incremental audit under PYTHONHASHSEED=0: pool repr, rows,
+# parties, contacted hosts, raw keys, owners and dataset row.  Change
+# it only for an intentional change to the stored form; existing
+# stores then need UNIT_RESULT_SCHEMA raised.
+UNIT_RESULT_FINGERPRINT = (
+    "ecb0ae63f4e8a15874d0ddd1495a18895d8071ccc6f0f1727d7e8e8bbb93ae35"
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +151,26 @@ def decryption_fingerprint(decryption) -> tuple:
     )
 
 
+class TestKeystreamMemo:
+    def test_decoding_from_disk_leaves_the_memo_empty(
+        self, golden_corpus, monkeypatch
+    ):
+        """The memo serves an in-process capture → decode round trip
+        only: decrypting captures read from disk stores nothing."""
+        monkeypatch.setattr(tls, "_KEYSTREAM_CACHE", {})
+        units = [
+            unit for unit in ReplayCorpus.scan(golden_corpus).units if unit.pcap
+        ]
+        requests = 0
+        for unit in units:
+            decryption = decrypt_mobile_artifact(
+                unit.pcap.read_bytes(), unit.keylog.read_text(encoding="utf-8")
+            )
+            requests += len(decryption.requests)
+        assert requests > 0
+        assert tls._KEYSTREAM_CACHE == {}
+
+
 class TestPinnedDecode:
     def test_batch_decode_matches_pinned_fingerprint(self, golden_corpus):
         corpus = ReplayCorpus.scan(golden_corpus)
@@ -160,6 +200,94 @@ class TestPinnedDecode:
                     digest.update(fingerprint.encode())
         assert opaque > 0, "golden corpus must contain opaque contacts"
         assert digest.hexdigest() == DECODE_FINGERPRINT
+
+
+# Run in a fresh interpreter with a fixed hash seed: hosts and keys
+# are interned in set order, so the stored bytes depend on it.
+_UNIT_RESULT_PROBE = """
+import hashlib, json, pickle, sys, tempfile
+from repro import CorpusConfig, DiffAudit
+from repro.pipeline.engine import AuditEngine
+from repro.pipeline.replay import ReplayCorpus, unit_digest
+
+corpus, config = sys.argv[1], CorpusConfig(**json.loads(sys.argv[2]))
+with tempfile.TemporaryDirectory() as cache:
+    DiffAudit(config, replay=corpus, cache_dir=cache).run()
+    engine = AuditEngine(config=config, replay=corpus, cache_dir=cache)
+    store, epoch = engine._unit_result_scope()
+    units = sorted(ReplayCorpus.scan(corpus).units, key=lambda unit: unit.meta.name)
+    digests = [unit_digest(unit) for unit in units]
+    payloads = store.get_unit_results(epoch, digests)
+    fingerprint = hashlib.sha256()
+    for digest in digests:
+        packed = pickle.loads(payloads[digest])
+        for part in (
+            repr(packed.pool).encode(),
+            packed.observations,
+            packed.parties,
+            packed.contacted,
+            packed.raw_keys,
+            packed.owners,
+            repr(packed.dataset).encode(),
+        ):
+            fingerprint.update(part)
+    print(fingerprint.hexdigest())
+"""
+
+
+class TestPinnedUnitResults:
+    def test_stored_unit_results_match_pinned_fingerprint(self, golden_corpus):
+        config = json.dumps(
+            {
+                "seed": GOLDEN_CONFIG.seed,
+                "scale": GOLDEN_CONFIG.scale,
+                "profile": GOLDEN_CONFIG.profile,
+                "services": list(GOLDEN_CONFIG.services),
+            }
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", _UNIT_RESULT_PROBE, str(golden_corpus), config],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0"),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == UNIT_RESULT_FINGERPRINT
+
+
+@pytest.fixture(scope="module")
+def golden_mobile_units(golden_corpus, tmp_path_factory) -> Path:
+    """The golden corpus's PCAP+keylog units alone, without a manifest."""
+    directory = tmp_path_factory.mktemp("golden-mobile")
+    for path in sorted(golden_corpus.iterdir()):
+        if path.suffix in (".pcap", ".keylog"):
+            shutil.copy(path, directory)
+    return directory
+
+
+class TestFlowRowsBornPacked:
+    @pytest.mark.parametrize("command", [["audit", "--jobs", "1"], ["stream"]])
+    def test_json_report_builds_no_observation_objects(
+        self, golden_mobile_units, tmp_path, monkeypatch, command
+    ):
+        """Flow rows go from the builder into the shard table packed,
+        and the report reads roll-ups derived from the rows."""
+        built = []
+        init = FlowObservation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowObservation, "__init__", counting_init)
+        report = tmp_path / "report.json"
+        argv = [*command, "--from-artifacts", str(golden_mobile_units)]
+        assert main([*argv, "--json", "--output", str(report)]) == 0
+        assert json.loads(report.read_text())["unique_flows"] > 0
+        assert built == []
+        FlowObservation(*"abcdefgh")  # the count does see a build
+        assert len(built) == 1
 
 
 class TestEngineParityOnGoldenCorpus:

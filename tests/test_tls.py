@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net import tls
 from repro.net.tls import (
     RECORD_TYPE_APPDATA,
     STREAM_HELLO,
@@ -82,6 +83,19 @@ class TestRecords:
     @given(st.binary(min_size=0, max_size=5000))
     def test_round_trip_property(self, plaintext):
         assert decrypt(encrypt_stream(plaintext, SESSION), SESSION) == plaintext
+
+    def test_decrypt_takes_back_what_encrypt_left(self, monkeypatch):
+        # An in-process encrypt leaves one keystream per record for the
+        # decrypt that follows; decrypting takes each one back out.
+        monkeypatch.setattr(tls, "_KEYSTREAM_CACHE", {})
+        plaintext = bytes(range(256)) * 160  # > MAX_RECORD_LEN: 3 records
+        stream = encrypt_stream(plaintext, SESSION)
+        assert len(tls._KEYSTREAM_CACHE) == 3
+        assert decrypt(stream, SESSION) == plaintext
+        assert tls._KEYSTREAM_CACHE == {}
+        # A second decrypt derives every keystream again.
+        assert decrypt(stream, SESSION) == plaintext
+        assert tls._KEYSTREAM_CACHE == {}
 
     def test_ciphertext_differs_from_plaintext(self):
         plaintext = b"hello world, this is sensitive"
