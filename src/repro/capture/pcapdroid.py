@@ -9,16 +9,18 @@ the same transformation on generated traces:
   carrying a TLS-encrypted byte stream of its pipelined HTTP requests;
 * decryptable connections get their secret recorded in the key log;
   pinned connections do not (their plaintext is unrecoverable);
-* all frames are serialized into a genuine binary PCAP.
+* every frame is packed straight to its wire bytes, and the frames
+  are serialized into a genuine binary PCAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.capture.base import CaptureArtifact, TraceMeta
 from repro.net.pcap import PcapFile, PcapPacket
-from repro.net.tcp import FlowId, segment_request
+from repro.net.tcp import FlowId, segment_request_wire
 from repro.net.tls import KeyLog, TlsSession, encrypt_stream, wrap_with_hello
 from repro.services.generator import RawTrace, ip_for
 
@@ -64,7 +66,7 @@ class PcapdroidCapture:
         for traced in trace.requests:
             connections.setdefault(traced.connection, []).append(traced)
 
-        frames: list = []
+        frames: list[tuple[float, bytes]] = []
         for index, (connection_id, traced_requests) in enumerate(connections.items()):
             host = traced_requests[0].request.url.host
             payload = b"".join(t.request.to_bytes() for t in traced_requests)
@@ -84,7 +86,7 @@ class PcapdroidCapture:
                 server_port=443,
             )
             frames.extend(
-                segment_request(
+                segment_request_wire(
                     stream,
                     flow,
                     timestamp=traced_requests[0].request.timestamp,
@@ -92,9 +94,8 @@ class PcapdroidCapture:
                 )
             )
 
-        frames.sort(key=lambda frame: frame.timestamp)
-        for frame in frames:
-            artifact.pcap.append(
-                PcapPacket(timestamp=frame.timestamp, data=frame.to_bytes())
-            )
+        frames.sort(key=itemgetter(0))  # stable: ties keep flow order
+        artifact.pcap.packets = [
+            PcapPacket(timestamp=timestamp, data=data) for timestamp, data in frames
+        ]
         return artifact

@@ -13,7 +13,9 @@ import base64
 import datetime as _dt
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.fsutil import atomic_write_text
 from repro.net.http import Header, HttpRequest, HttpResponse
@@ -207,9 +209,88 @@ def har_from_json(doc: dict) -> Har:
     return har
 
 
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_json(value: Any, newline: str, out: Callable[[str], Any]) -> None:
+    """Append ``value``'s JSON text to ``out``, piece by piece; a
+    container's closing bracket starts a line at ``newline``."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out("{}")
+            return
+        inner = newline + " "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            out(separator)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            if type(item) is str:
+                out(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, out)
+            separator = comma
+        out(newline + "}")
+    elif kind is list:
+        if not value:
+            out("[]")
+            return
+        inner = newline + " "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            out(separator)
+            if type(item) is str:
+                out(encode_basestring_ascii(item))
+            else:
+                _write_json(item, inner, out)
+            separator = comma
+        out(newline + "]")
+    elif kind is str:
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif kind is int:
+        out(int.__repr__(value))
+    elif kind is float:
+        out(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def har_text(doc: dict) -> str:
+    """The text of a HAR file: exactly ``json.dumps(doc, indent=1)``.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, a
+    generator per nesting level and a yield per token; this appends
+    the same pieces to one list and joins it once, and escapes strings
+    with the C encoder's own ``encode_basestring_ascii``.  Values are
+    the JSON types exactly (``dict`` with ``str`` keys, ``list``,
+    ``str``, ``int``, ``float``, ``bool`` and ``None``); anything else
+    raises :class:`TypeError`.
+    """
+    pieces: list[str] = []
+    _write_json(doc, "\n", pieces.append)
+    return "".join(pieces)
+
+
 def write_har(har: Har, path: str | Path) -> None:
-    """Write a HAR file to disk (UTF-8 JSON)."""
-    atomic_write_text(Path(path), json.dumps(har_to_json(har), indent=1))
+    """Write a HAR file to disk (UTF-8 JSON, one-space indent)."""
+    atomic_write_text(Path(path), har_text(har_to_json(har)))
 
 
 def read_har(path: str | Path) -> Har:

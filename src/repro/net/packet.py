@@ -6,16 +6,19 @@ implement genuine wire formats, including the IPv4 header checksum and
 the TCP pseudo-header checksum, so the PCAP round-trip exercises a real
 parser rather than a shortcut.
 
-Generation writes packets through the header dataclasses and
-:class:`Frame`; decoding reads them through one parser,
-:func:`parse_tcp_segment`, which goes from link-layer bytes straight
-to a :class:`TcpSegment`.  The decode path is zero-copy: it accepts
-any buffer-protocol object (``bytes``, ``bytearray``, ``memoryview``)
-and the payload is a *view* into it, so a full PCAP decode copies each
-payload byte exactly once (into the TCP reassembly buffer).  All
-struct formats are precompiled at module level, and the MAC/IPv4
-string codecs are memoized — addresses repeat constantly inside a
-capture, so rendering each distinct one once is enough.
+Capture writes each packet with one encoder, :func:`pack_tcp_frame`,
+which goes from a segment's fields straight to its wire bytes; the
+header dataclasses and :class:`Frame` build unusual frames for tests
+and are the reference those bytes are checked against.  Decoding reads
+packets through one parser, :func:`parse_tcp_segment`, which goes from
+link-layer bytes straight to a :class:`TcpSegment`.  The decode path
+is zero-copy: it accepts any buffer-protocol object (``bytes``,
+``bytearray``, ``memoryview``) and the payload is a *view* into it,
+so a full PCAP decode copies each payload byte exactly once (into the
+TCP reassembly buffer).  All struct formats are precompiled at module
+level, and the MAC/IPv4 string codecs are memoized — addresses repeat
+constantly inside a capture, so rendering each distinct one once is
+enough.
 """
 
 from __future__ import annotations
@@ -87,7 +90,15 @@ def internet_checksum(data) -> int:
     """
     if len(data) % 2:
         data = bytes(data) + b"\x00"
-    value = int.from_bytes(data, "big")
+    return _checksum_of(int.from_bytes(data, "big"))
+
+
+def _checksum_of(value: int) -> int:
+    """The checksum of a buffer whose big-endian value is ``value``.
+
+    Any ``value`` congruent to it mod 0xFFFF serves, provided it is
+    zero only when the buffer is: the checksum depends on nothing else.
+    """
     total = value % 0xFFFF
     if total == 0 and value:
         total = 0xFFFF
@@ -329,11 +340,68 @@ def parse_tcp_segment(data, timestamp: float = 0.0) -> TcpSegment:
     )
 
 
+# Ethernet II, IPv4 and TCP headers as capture writes them.
+_FRAME_HEADERS = struct.Struct("!6s6sH BBHHHBBH4s4s HHIIBBHHH")
+_FRAME_MACS = (
+    mac_to_bytes(EthernetHeader.dst_mac),
+    mac_to_bytes(EthernetHeader.src_mac),
+)
+# The IPv4 header's fixed 16-bit words: version/IHL, flags (don't
+# fragment), TTL 64 with the protocol.
+_IPV4_FIXED_WORDS = 0x4500 + 0x4000 + (64 << 8 | IPPROTO_TCP)
+
+
+def pack_tcp_frame(
+    src: bytes,
+    dst: bytes,
+    src_port: int,
+    dst_port: int,
+    seq: int,
+    flags: int,
+    payload: "bytes | memoryview",
+) -> bytes:
+    """One Ethernet/IPv4/TCP frame's wire bytes, straight from its fields.
+
+    The encode-side twin of :func:`parse_tcp_segment`: capture packs
+    every frame here, and the bytes are exactly those of a
+    :class:`Frame` of default headers (``src``/``dst`` are the packed
+    IPv4 addresses), with no header object built.  The two checksums
+    are sums of field values: 2**16 ≡ 1 (mod 0xFFFF), so a buffer of
+    16-bit words is congruent to the sum of its fields' values, and
+    only the payload is read as one big integer (shifted one byte left
+    when odd, the pad byte RFC 1071 appends).
+    """
+    length = len(payload)
+    seq &= 0xFFFFFFFF
+    addresses = int.from_bytes(src + dst, "big")
+    data = int.from_bytes(payload, "big") << ((length & 1) * 8)
+    return _FRAME_HEADERS.pack(
+        *_FRAME_MACS,
+        ETHERTYPE_IPV4,
+        # IPv4: version/IHL, DSCP/ECN, total length, identification,
+        # flags, TTL, protocol, checksum, addresses
+        0x45, 0, 40 + length, 0, 0x4000, 64, IPPROTO_TCP,
+        _checksum_of(_IPV4_FIXED_WORDS + 40 + length + addresses),
+        src,
+        dst,
+        # TCP: ports, seq, ack, data offset, flags, window, checksum
+        # (over the pseudo-header, the header and the payload), urgent
+        src_port, dst_port, seq, 0, 5 << 4, flags, 65535,
+        _checksum_of(
+            addresses + IPPROTO_TCP + 20 + length
+            + src_port + dst_port + seq + (5 << 12 | flags) + 65535 + data
+        ),
+        0,
+    ) + payload
+
+
 @dataclass
 class Frame:
-    """One packet to capture, built layer by layer; :meth:`to_bytes`
-    writes it on the wire.  Decoding goes through
-    :func:`parse_tcp_segment` instead."""
+    """One packet built layer by layer; :meth:`to_bytes` writes it on
+    the wire.  Tests build unusual frames with it, and it is the
+    reference :func:`pack_tcp_frame`'s bytes are checked against;
+    capture packs through that, and decoding goes through
+    :func:`parse_tcp_segment`."""
 
     timestamp: float
     eth: EthernetHeader

@@ -9,7 +9,7 @@ paper's per-service TCP-flow accounting (Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.net.packet import (
     EthernetHeader,
@@ -17,6 +17,8 @@ from repro.net.packet import (
     Ipv4Header,
     TcpHeader,
     TcpSegment,
+    ipv4_to_bytes,
+    pack_tcp_frame,
 )
 from repro.obs.metrics import REGISTRY
 
@@ -55,6 +57,23 @@ class FlowId(NamedTuple):
         )
 
 
+def _segments(
+    payload: bytes, isn: int, mss: int, with_handshake: bool
+) -> Iterator[tuple[int, int, bytes]]:
+    """``(seq, flags, data)`` of each segment that carries ``payload``:
+    SYN, MSS-sized data segments, FIN."""
+    seq = isn
+    if with_handshake:
+        yield seq, TcpHeader.FLAG_SYN, b""
+        seq += 1  # SYN consumes one sequence number
+    for start in range(0, len(payload), mss):
+        chunk = payload[start : start + mss]
+        yield seq, TcpHeader.FLAG_PSH | TcpHeader.FLAG_ACK, chunk
+        seq += len(chunk)
+    if with_handshake:
+        yield seq, TcpHeader.FLAG_FIN | TcpHeader.FLAG_ACK, b""
+
+
 def segment_request(
     payload: bytes,
     flow: FlowId,
@@ -66,70 +85,54 @@ def segment_request(
     """Turn request bytes into SYN + data segments + FIN frames.
 
     Only the client→server direction is emitted — DiffAudit audits data
-    *leaving* the device (paper §3.2).
+    *leaving* the device (paper §3.2).  Segment ``i`` is stamped ``i``
+    microseconds after ``timestamp``.
     """
-    frames: list[Frame] = []
     eth = EthernetHeader()
-    seq = isn
-
-    def make_frame(tcp: TcpHeader, data: bytes, offset_us: int) -> Frame:
-        ip = Ipv4Header(src=flow.client_ip, dst=flow.server_ip)
-        return Frame(
-            timestamp=timestamp + offset_us * 1e-6,
+    ip = Ipv4Header(src=flow.client_ip, dst=flow.server_ip)
+    return [
+        Frame(
+            timestamp=timestamp + step * 1e-6,
             eth=eth,
             ip=ip,
-            tcp=tcp,
+            tcp=TcpHeader(
+                src_port=flow.client_port,
+                dst_port=flow.server_port,
+                seq=seq,
+                flags=flags,
+            ),
             payload=data,
         )
-
-    step = 0
-    if with_handshake:
-        frames.append(
-            make_frame(
-                TcpHeader(
-                    src_port=flow.client_port,
-                    dst_port=flow.server_port,
-                    seq=seq,
-                    flags=TcpHeader.FLAG_SYN,
-                ),
-                b"",
-                step,
-            )
+        for step, (seq, flags, data) in enumerate(
+            _segments(payload, isn, mss, with_handshake)
         )
-        seq += 1  # SYN consumes one sequence number
-        step += 1
+    ]
 
-    for start in range(0, len(payload), mss):
-        chunk = payload[start : start + mss]
-        frames.append(
-            make_frame(
-                TcpHeader(
-                    src_port=flow.client_port,
-                    dst_port=flow.server_port,
-                    seq=seq,
-                    flags=TcpHeader.FLAG_PSH | TcpHeader.FLAG_ACK,
-                ),
-                chunk,
-                step,
-            )
-        )
-        seq += len(chunk)
-        step += 1
 
-    if with_handshake:
-        frames.append(
-            make_frame(
-                TcpHeader(
-                    src_port=flow.client_port,
-                    dst_port=flow.server_port,
-                    seq=seq,
-                    flags=TcpHeader.FLAG_FIN | TcpHeader.FLAG_ACK,
-                ),
-                b"",
-                step,
-            )
+def segment_request_wire(
+    payload: bytes,
+    flow: FlowId,
+    timestamp: float,
+    isn: int = 1,
+    mss: int = DEFAULT_MSS,
+    with_handshake: bool = True,
+) -> list[tuple[float, bytes]]:
+    """:func:`segment_request`'s frames as ``(timestamp, wire bytes)``,
+    each packed by :func:`~repro.net.packet.pack_tcp_frame` — what
+    capture writes, with no :class:`Frame` built."""
+    src = ipv4_to_bytes(flow.client_ip)
+    dst = ipv4_to_bytes(flow.server_ip)
+    return [
+        (
+            timestamp + step * 1e-6,
+            pack_tcp_frame(
+                src, dst, flow.client_port, flow.server_port, seq, flags, data
+            ),
         )
-    return frames
+        for step, (seq, flags, data) in enumerate(
+            _segments(payload, isn, mss, with_handshake)
+        )
+    ]
 
 
 @dataclass(slots=True)

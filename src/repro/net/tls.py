@@ -44,37 +44,36 @@ class TlsError(ValueError):
     """Raised on malformed records or missing key material."""
 
 
-# Per-record keystream memo, (secret, client_random) -> keystream.
-# The derivation is deterministic, and an in-memory audit derives each
-# record's keystream twice in one process — encrypting at capture time,
-# then decrypting what it captured — so encrypt_stream leaves each
-# keystream here and decrypt_record takes it back out.  Decoding a
-# capture from disk finds nothing here and stores nothing.  Bounded:
-# cleared wholesale when full (records are encrypt-then-decrypted trace
-# by trace, so locality is tight).
-_KEYSTREAM_CACHE: dict[tuple[bytes, bytes], bytes] = {}
-_KEYSTREAM_CACHE_MAX = 2048
+# The packed counter of every keystream block of the longest record
+# encrypt_stream writes (MAX_RECORD_LEN bytes, 32-byte SHA-256 blocks).
+_COUNTERS = tuple(_U64.pack(counter) for counter in range(MAX_RECORD_LEN // 32))
 
 
 def _keystream(secret: bytes, client_random: bytes, length: int) -> bytes:
     """Deterministic keystream: SHA-256(secret || random || counter).
 
-    Blocks accumulate into one preallocated ``bytearray`` (O(n), no
-    per-block length rescans), but the derivation itself is frozen —
-    it defines the bytes of every archived capture.
+    The derivation is frozen — it defines the bytes of every archived
+    capture.  Each block clones one running hash, so the shared 64-byte
+    prefix is compressed once per call, not once per 32-byte block;
+    counters come packed from :data:`_COUNTERS` (a longer record body,
+    which only a damaged or foreign capture holds, packs its own).
+    Each digest is appended as it is made, so no record holds its
+    digest objects all at once.
     """
-    out = bytearray()
     base = hashlib.sha256(secret + client_random)
-    counter = 0
-    while len(out) < length:
-        # digest(prefix || counter) via one cloned running hash: the
-        # shared 64-byte prefix is compressed once per call, not once
-        # per 32-byte block.
+    blocks = -(-length // 32)
+    counters = (
+        _COUNTERS[:blocks]
+        if blocks <= len(_COUNTERS)
+        else map(_U64.pack, range(blocks))
+    )
+    out = bytearray()
+    for counter in counters:
         block = base.copy()
-        block.update(_U64.pack(counter))
+        block.update(counter)
         out += block.digest()
-        counter += 1
-    return bytes(out[:length])
+    del out[length:]
+    return bytes(out)
 
 
 def _xor(data, keystream: bytes) -> bytes:
@@ -114,11 +113,9 @@ def encrypt_stream(plaintext: bytes, session: TlsSession) -> bytes:
     offset = 0
     for start in range(0, len(plaintext), MAX_RECORD_LEN):
         chunk = plaintext[start : start + MAX_RECORD_LEN]
-        key = (session.secret, session.client_random + _U64.pack(offset))
-        keystream = _keystream(*key, len(chunk))
-        if len(_KEYSTREAM_CACHE) >= _KEYSTREAM_CACHE_MAX:
-            _KEYSTREAM_CACHE.clear()
-        _KEYSTREAM_CACHE[key] = keystream
+        keystream = _keystream(
+            session.secret, session.client_random + _U64.pack(offset), len(chunk)
+        )
         ciphertext = _xor(chunk, keystream)
         out += _RECORD_HEADER.pack(RECORD_TYPE_APPDATA, RECORD_VERSION, len(ciphertext))
         out += ciphertext
@@ -229,13 +226,11 @@ def decrypt_record(body, session: TlsSession, offset: int) -> bytes:
 
     ``offset`` is the record's index among *all* records of the flow,
     handshake records included — the counter :func:`encrypt_stream`
-    advanced once per record it wrote.  A keystream an in-process
-    :func:`encrypt_stream` left in the memo is taken out of it.
+    advanced once per record it wrote.
     """
-    key = (session.secret, session.client_random + _U64.pack(offset))
-    keystream = _KEYSTREAM_CACHE.pop(key, None)
-    if keystream is None or len(keystream) != len(body):
-        keystream = _keystream(*key, len(body))
+    keystream = _keystream(
+        session.secret, session.client_random + _U64.pack(offset), len(body)
+    )
     _RECORDS.inc()
     _PLAINTEXT_BYTES.inc(len(body))
     return _xor(body, keystream)

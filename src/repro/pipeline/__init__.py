@@ -1,7 +1,8 @@
 """End-to-end DiffAudit pipeline (paper Figure 1).
 
-* :mod:`repro.pipeline.corpus` — generate traces, capture them into
-  HAR/PCAP artifacts, and parse them back (steps 1–2);
+* :mod:`repro.pipeline.corpus` — generate traces and capture them into
+  HAR/PCAP artifacts (where ``repro generate`` stops), and parse them
+  back for an in-memory audit (steps 1–2);
 * :mod:`repro.pipeline.dataset` — the Table 1 dataset summary;
 * :mod:`repro.pipeline.engine` — the parallel sharded engine running
   steps 1–3 per service (in-process at one job, on worker processes

@@ -1,10 +1,13 @@
-"""Corpus processing: generate → capture → parse back.
+"""Corpus processing: generate → capture (→ parse back).
 
 The pipeline's contract with the simulator is artifact-shaped: traces
 cross the boundary as HAR JSON and binary PCAP + key-log bytes, so the
 analysis side exercises exactly the parsing the paper's pipeline ran
-on its real captures.  Traces stream one at a time to keep memory flat
-at full scale.
+on its real captures.  :meth:`CorpusProcessor.capture_trace` is the one
+capture step: ``repro generate`` stops after it, with the artifacts
+written, and an in-memory audit's round trip
+(:meth:`CorpusProcessor.process_trace`) goes on to parse them back.
+Traces stream one at a time to keep memory flat at full scale.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.net.http import HttpRequest
 from repro.services.config import CorpusConfig, impairment_profile
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.pcap import PcapFile
     from repro.services.generator import RawTrace
 
 
@@ -82,6 +86,27 @@ def parsed_trace_from_mobile(
 
 
 @dataclass
+class CapturedTrace:
+    """One trace's capture artifacts, as :meth:`CorpusProcessor.capture_trace`
+    wrote them: a HAR document (web and desktop traces) or PCAP bytes
+    plus a key log (mobile traces)."""
+
+    meta: TraceMeta
+    har: Har | None = None
+    pcap: bytes = b""
+    keylog_text: str = ""
+
+    def parse(self) -> ParsedTrace:
+        """Read the artifacts back the way replay reads them from disk."""
+        if self.har is not None:
+            # Round-trip through HAR JSON: the analysis side reads the
+            # serialized form, never the in-memory capture objects.
+            har = har_from_json(har_to_json(self.har))
+            return parsed_trace_from_har(self.meta, har)
+        return parsed_trace_from_mobile(self.meta, self.pcap, self.keylog_text)
+
+
+@dataclass
 class CorpusProcessor:
     """Streams :class:`ParsedTrace` records for a corpus config.
 
@@ -114,26 +139,25 @@ class CorpusProcessor:
             self.artifacts_dir = Path(self.artifacts_dir)
             self.artifacts_dir.mkdir(parents=True, exist_ok=True)
 
-    # -- per-platform round trips ---------------------------------------
+    # -- per-platform captures ------------------------------------------
 
-    def process_web(self, trace: RawTrace) -> ParsedTrace:
+    def process_web(self, trace: RawTrace) -> CapturedTrace:
+        """Capture one web or desktop trace as a HAR document, writing
+        it when ``artifacts_dir`` is set."""
         capture = (
             self._proxyman if trace.platform is Platform.DESKTOP else self._devtools
         )
         artifact = capture.capture(trace)
         if self.artifacts_dir is not None:
             write_har(artifact.har, self.artifacts_dir / f"{artifact.meta.name}.har")
-        # Round-trip through HAR JSON: the analysis side reads the
-        # serialized form, never the in-memory capture objects.
-        har = har_from_json(har_to_json(artifact.har))
-        return parsed_trace_from_har(artifact.meta, har)
+        return CapturedTrace(meta=artifact.meta, har=artifact.har)
 
-    def capture_mobile(self, trace: RawTrace):
+    def capture_mobile(self, trace: RawTrace) -> tuple[TraceMeta, PcapFile, str]:
         """Capture (and, when configured, impair) one mobile trace.
 
         Returns ``(meta, pcap, keylog_text)`` — the wire-level view
-        shared by the batch round trip below and the live streaming
-        source, so both see bit-identical capture bytes.
+        shared by :meth:`capture_trace` and the live streaming source,
+        so both see bit-identical capture bytes.
         """
         artifact = self._pcapdroid.capture(trace)
         pcap = artifact.pcap
@@ -150,18 +174,24 @@ class CorpusProcessor:
             )
         return artifact.meta, pcap, artifact.keylog_text()
 
-    def _process_mobile(self, trace: RawTrace) -> ParsedTrace:
+    # -- the capture step and the round trip ----------------------------
+
+    def capture_trace(self, trace: RawTrace) -> CapturedTrace:
+        """Capture one trace and, with ``artifacts_dir`` set, write its
+        artifacts: all that generation does per trace."""
+        if trace.platform is not Platform.MOBILE:
+            return self.process_web(trace)
         meta, pcap, keylog_text = self.capture_mobile(trace)
         pcap_bytes = pcap.to_bytes()
         if self.artifacts_dir is not None:
             atomic_write_bytes(self.artifacts_dir / f"{meta.name}.pcap", pcap_bytes)
             atomic_write_text(self.artifacts_dir / f"{meta.name}.keylog", keylog_text)
-        return parsed_trace_from_mobile(meta, pcap_bytes, keylog_text)
+        return CapturedTrace(meta=meta, pcap=pcap_bytes, keylog_text=keylog_text)
 
     def process_trace(self, trace: RawTrace) -> ParsedTrace:
-        if trace.platform is Platform.MOBILE:
-            return self._process_mobile(trace)
-        return self.process_web(trace)
+        """The audit's round trip: capture and write one trace, then
+        parse its artifacts back."""
+        return self.capture_trace(trace).parse()
 
     def __iter__(self) -> Iterator[ParsedTrace]:
         for trace in self.generator.generate_corpus(unit_range=self.unit_range):

@@ -1018,10 +1018,15 @@ def _import_generation() -> None:
 
 
 def _generate_shard(task: ShardTask) -> list[dict]:
-    """Generate + capture one shard's artifacts, skipping analysis.
+    """Generate, capture and write one shard's artifacts; nothing is
+    parsed back.
 
     Returns one manifest record per trace, in generation order."""
-    return [trace_record(parsed.meta) for parsed in shard_trace_source(task)]
+    processor = CorpusProcessor(config=task.config, artifacts_dir=task.artifacts_dir)
+    return [
+        trace_record(processor.capture_trace(trace).meta)
+        for trace in processor.generator.generate_corpus(unit_range=task.unit_range)
+    ]
 
 
 def generate_corpus_artifacts(
@@ -1032,8 +1037,8 @@ def generate_corpus_artifacts(
     """Write every trace artifact plus a manifest; returns the trace count.
 
     The generate-only sibling of :meth:`AuditEngine.run`: shards (and
-    size-balances) the same way but stops after capture — no
-    classification, labeling or flow building — since ``python -m
+    size-balances) the same way but stops after capture — nothing is
+    parsed back, classified, labeled or flow-built — since ``python -m
     repro generate`` discards those.  ``manifest.json`` records the
     corpus config and per-trace metadata in generation order, so
     ``audit --from-artifacts`` can replay the directory without

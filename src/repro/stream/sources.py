@@ -290,7 +290,7 @@ class LiveGeneratorSource:
                     keylog=KeyLog.from_text(keylog_text),
                 )
             else:
-                yield TraceDocument(parsed=processor.process_web(trace))
+                yield TraceDocument(parsed=processor.process_trace(trace))
 
     @staticmethod
     def _wire_packets(pcap) -> Iterator[Packet]:

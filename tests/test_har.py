@@ -12,6 +12,7 @@ from repro.net.har import (
     _epoch_to_iso,
     _iso_to_epoch,
     har_from_json,
+    har_text,
     har_to_json,
     read_har,
     write_har,
@@ -197,3 +198,35 @@ class TestErrors:
         path = tmp_path / "x.har"
         write_har(make_har(), path)
         json.loads(path.read_text())
+
+
+# JSON values of every kind json.dumps writes: strings with non-ASCII,
+# control and lone-surrogate characters, floats json spells its own
+# way, and containers nested to any depth, empty ones included.
+_JSON_STRINGS = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\u2028", "é"]),
+    )
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, float("inf"), float("-inf"), float("nan")])
+    | _JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestHarText:
+    @given(_JSON_VALUES)
+    def test_equals_json_dumps_with_indent_1(self, value):
+        assert har_text(value) == json.dumps(value, indent=1)
+
+    def test_non_json_value_raises(self):
+        with pytest.raises(TypeError):
+            har_text({"when": object()})

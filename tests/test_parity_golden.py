@@ -46,7 +46,6 @@ from repro import CorpusConfig, DiffAudit
 from repro.capture.decrypt import decrypt_mobile_artifact
 from repro.cli import main
 from repro.flows.dataflow import FlowObservation
-from repro.net import tls
 from repro.net.pcap import PcapFile
 from repro.pipeline.corpus import parsed_trace_from_mobile
 from repro.pipeline.engine import generate_corpus_artifacts
@@ -89,20 +88,39 @@ def _pinned_digests() -> dict[str, str]:
     return digests
 
 
+def _assert_pinned(directory: Path) -> None:
+    expected = _pinned_digests()
+    actual = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.iterdir()
+        if path.is_file()
+    }
+    assert set(actual) == set(expected), "artifact file set changed"
+    mismatched = sorted(
+        name for name, digest in actual.items() if expected[name] != digest
+    )
+    assert not mismatched, f"artifact bytes drifted: {mismatched}"
+
+
 class TestPinnedBytes:
     def test_corpus_matches_checked_in_digests(self, golden_corpus):
         """Every artifact byte is pinned; drift fails loudly here."""
-        expected = _pinned_digests()
-        actual = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in golden_corpus.iterdir()
-            if path.is_file()
-        }
-        assert set(actual) == set(expected), "artifact file set changed"
-        mismatched = sorted(
-            name for name, digest in actual.items() if expected[name] != digest
-        )
-        assert not mismatched, f"artifact bytes drifted: {mismatched}"
+        _assert_pinned(golden_corpus)
+
+    def test_generation_parses_nothing_back(self, tmp_path, monkeypatch):
+        """``repro generate`` stops after capture: with the PCAP decoder
+        and the HAR reader refusing every call, it still writes every
+        pinned byte."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generation parsed an artifact back")
+
+        for module in ("repro.capture.decrypt", "repro.pipeline.corpus"):
+            monkeypatch.setattr(f"{module}.decrypt_mobile_artifact", refuse)
+        for module in ("repro.net.har", "repro.pipeline.corpus"):
+            monkeypatch.setattr(f"{module}.har_from_json", refuse)
+        generate_corpus_artifacts(GOLDEN_CONFIG, tmp_path, jobs=1)
+        _assert_pinned(tmp_path)
 
 
 class TestDecodeApiParity:
@@ -149,26 +167,6 @@ def decryption_fingerprint(decryption) -> tuple:
         decryption.flow_count,
         decryption.undecryptable_flows,
     )
-
-
-class TestKeystreamMemo:
-    def test_decoding_from_disk_leaves_the_memo_empty(
-        self, golden_corpus, monkeypatch
-    ):
-        """The memo serves an in-process capture → decode round trip
-        only: decrypting captures read from disk stores nothing."""
-        monkeypatch.setattr(tls, "_KEYSTREAM_CACHE", {})
-        units = [
-            unit for unit in ReplayCorpus.scan(golden_corpus).units if unit.pcap
-        ]
-        requests = 0
-        for unit in units:
-            decryption = decrypt_mobile_artifact(
-                unit.pcap.read_bytes(), unit.keylog.read_text(encoding="utf-8")
-            )
-            requests += len(decryption.requests)
-        assert requests > 0
-        assert tls._KEYSTREAM_CACHE == {}
 
 
 class TestPinnedDecode:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.packet import Frame, TcpHeader, TcpSegment, parse_tcp_segment
-from repro.net.tcp import DEFAULT_MSS, FlowId, TcpReassembler, segment_request
+from repro.net.tcp import (
+    DEFAULT_MSS,
+    FlowId,
+    TcpReassembler,
+    segment_request,
+    segment_request_wire,
+)
 
 FLOW = FlowId(client_ip="10.0.0.1", client_port=40000, server_ip="34.0.0.1", server_port=443)
 
@@ -49,6 +55,40 @@ class TestSegmentation:
         stamps = [f.timestamp for f in frames]
         assert stamps == sorted(stamps)
         assert stamps[0] >= 10.0
+
+
+_ADDRESSES = st.lists(st.integers(0, 255), min_size=4, max_size=4).map(
+    lambda octets: ".".join(map(str, octets))
+)
+_PORTS = st.integers(0, 0xFFFF)
+
+
+class TestPackedSegments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        client_ip=_ADDRESSES,
+        client_port=_PORTS,
+        server_ip=_ADDRESSES,
+        server_port=_PORTS,
+        payload=st.binary(max_size=5000),
+        mss=st.integers(100, 1500),
+        isn=st.integers(0, 2**32 - 1) | st.integers(2**32 - 6000, 2**32 - 1),
+        timestamp=st.floats(0, 2e9),
+    )
+    def test_wire_bytes_equal_the_frames_and_decode_back(
+        self, client_ip, client_port, server_ip, server_port, payload, mss, isn,
+        timestamp,
+    ):
+        flow = FlowId(client_ip, client_port, server_ip, server_port)
+        frames = segment_request(payload, flow, timestamp, isn=isn, mss=mss)
+        packed = segment_request_wire(payload, flow, timestamp, isn=isn, mss=mss)
+        assert packed == [(frame.timestamp, frame.to_bytes()) for frame in frames]
+        for frame, (stamp, wire) in zip(frames, packed):
+            segment = parse_tcp_segment(wire, stamp)
+            assert segment == TcpSegment(
+                stamp, client_ip, client_port, server_ip, server_port,
+                frame.tcp.seq & 0xFFFFFFFF, frame.tcp.flags, frame.payload,
+            )
 
 
 class TestReassembly:

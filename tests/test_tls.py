@@ -1,5 +1,7 @@
 """Unit and property tests for the TLS simulation and NSS key logs."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,18 +86,24 @@ class TestRecords:
     def test_round_trip_property(self, plaintext):
         assert decrypt(encrypt_stream(plaintext, SESSION), SESSION) == plaintext
 
-    def test_decrypt_takes_back_what_encrypt_left(self, monkeypatch):
-        # An in-process encrypt leaves one keystream per record for the
-        # decrypt that follows; decrypting takes each one back out.
-        monkeypatch.setattr(tls, "_KEYSTREAM_CACHE", {})
-        plaintext = bytes(range(256)) * 160  # > MAX_RECORD_LEN: 3 records
-        stream = encrypt_stream(plaintext, SESSION)
-        assert len(tls._KEYSTREAM_CACHE) == 3
-        assert decrypt(stream, SESSION) == plaintext
-        assert tls._KEYSTREAM_CACHE == {}
-        # A second decrypt derives every keystream again.
-        assert decrypt(stream, SESSION) == plaintext
-        assert tls._KEYSTREAM_CACHE == {}
+    @pytest.mark.parametrize(
+        "length", [0, 1, 31, 32, 33, tls.MAX_RECORD_LEN - 1, tls.MAX_RECORD_LEN,
+                   tls.MAX_RECORD_LEN + 1, 0xFFFF]
+    )
+    def test_keystream_matches_the_block_loop(self, length):
+        # The derivation is frozen: block ``counter`` is SHA-256 of the
+        # secret, the record's nonce and the 8-byte counter.  A record
+        # body longer than any encrypt_stream writes (a foreign
+        # capture's) takes counters past the packed table.
+        nonce = SESSION.client_random + b"\x00" * 8
+        reference = b""
+        counter = 0
+        while len(reference) < length:
+            reference += hashlib.sha256(
+                SESSION.secret + nonce + counter.to_bytes(8, "big")
+            ).digest()
+            counter += 1
+        assert tls._keystream(SESSION.secret, nonce, length) == reference[:length]
 
     def test_ciphertext_differs_from_plaintext(self):
         plaintext = b"hello world, this is sensitive"
