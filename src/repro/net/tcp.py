@@ -115,7 +115,6 @@ def segment_request_wire(
     timestamp: float,
     isn: int = 1,
     mss: int = DEFAULT_MSS,
-    with_handshake: bool = True,
 ) -> list[tuple[float, bytes]]:
     """:func:`segment_request`'s frames as ``(timestamp, wire bytes)``,
     each packed by :func:`~repro.net.packet.pack_tcp_frame` — what
@@ -130,7 +129,7 @@ def segment_request_wire(
             ),
         )
         for step, (seq, flags, data) in enumerate(
-            _segments(payload, isn, mss, with_handshake)
+            _segments(payload, isn, mss, True)
         )
     ]
 

@@ -44,33 +44,20 @@ class TlsError(ValueError):
     """Raised on malformed records or missing key material."""
 
 
-# The packed counter of every keystream block of the longest record
-# encrypt_stream writes (MAX_RECORD_LEN bytes, 32-byte SHA-256 blocks).
-_COUNTERS = tuple(_U64.pack(counter) for counter in range(MAX_RECORD_LEN // 32))
-
-
 def _keystream(secret: bytes, client_random: bytes, length: int) -> bytes:
     """Deterministic keystream: SHA-256(secret || random || counter).
 
     The derivation is frozen — it defines the bytes of every archived
     capture.  Each block clones one running hash, so the shared 64-byte
-    prefix is compressed once per call, not once per 32-byte block;
-    counters come packed from :data:`_COUNTERS` (a longer record body,
-    which only a damaged or foreign capture holds, packs its own).
+    prefix is compressed once per call, not once per 32-byte block.
     Each digest is appended as it is made, so no record holds its
     digest objects all at once.
     """
     base = hashlib.sha256(secret + client_random)
-    blocks = -(-length // 32)
-    counters = (
-        _COUNTERS[:blocks]
-        if blocks <= len(_COUNTERS)
-        else map(_U64.pack, range(blocks))
-    )
     out = bytearray()
-    for counter in counters:
+    for counter in range(-(-length // 32)):
         block = base.copy()
-        block.update(counter)
+        block.update(_U64.pack(counter))
         out += block.digest()
     del out[length:]
     return bytes(out)

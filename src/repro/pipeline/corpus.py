@@ -5,9 +5,11 @@ cross the boundary as HAR JSON and binary PCAP + key-log bytes, so the
 analysis side exercises exactly the parsing the paper's pipeline ran
 on its real captures.  :meth:`CorpusProcessor.capture_trace` is the one
 capture step: ``repro generate`` stops after it, with the artifacts
-written, and an in-memory audit's round trip
-(:meth:`CorpusProcessor.process_trace`) goes on to parse them back.
-Traces stream one at a time to keep memory flat at full scale.
+written (:meth:`CorpusProcessor.captures`), and an in-memory audit's
+round trip (iterating the processor, or
+:meth:`CorpusProcessor.process_trace` for one trace) goes on to parse
+them back.  Traces stream one at a time to keep memory flat at full
+scale.
 """
 
 from __future__ import annotations
@@ -193,6 +195,12 @@ class CorpusProcessor:
         parse its artifacts back."""
         return self.capture_trace(trace).parse()
 
-    def __iter__(self) -> Iterator[ParsedTrace]:
+    def captures(self) -> Iterator[CapturedTrace]:
+        """Capture and write every trace of the corpus (or of
+        ``unit_range``), one at a time: all of ``repro generate``."""
         for trace in self.generator.generate_corpus(unit_range=self.unit_range):
-            yield self.process_trace(trace)
+            yield self.capture_trace(trace)
+
+    def __iter__(self) -> Iterator[ParsedTrace]:
+        for captured in self.captures():
+            yield captured.parse()

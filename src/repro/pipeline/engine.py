@@ -1022,11 +1022,12 @@ def _generate_shard(task: ShardTask) -> list[dict]:
     parsed back.
 
     Returns one manifest record per trace, in generation order."""
-    processor = CorpusProcessor(config=task.config, artifacts_dir=task.artifacts_dir)
-    return [
-        trace_record(processor.capture_trace(trace).meta)
-        for trace in processor.generator.generate_corpus(unit_range=task.unit_range)
-    ]
+    captures = CorpusProcessor(
+        config=task.config,
+        artifacts_dir=task.artifacts_dir,
+        unit_range=task.unit_range,
+    ).captures()
+    return [trace_record(captured.meta) for captured in captures]
 
 
 def generate_corpus_artifacts(

@@ -92,9 +92,9 @@ class TestRecords:
     )
     def test_keystream_matches_the_block_loop(self, length):
         # The derivation is frozen: block ``counter`` is SHA-256 of the
-        # secret, the record's nonce and the 8-byte counter.  A record
-        # body longer than any encrypt_stream writes (a foreign
-        # capture's) takes counters past the packed table.
+        # secret, the record's nonce and the 8-byte counter.  Lengths
+        # past MAX_RECORD_LEN are record bodies only a foreign capture
+        # holds.
         nonce = SESSION.client_random + b"\x00" * 8
         reference = b""
         counter = 0
